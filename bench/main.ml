@@ -851,7 +851,7 @@ let drain_once ~mode ?chunk_words ~parallelism () =
   let p =
     Collectors.Par_drain.create ~mem
       ~in_from:(Mem.Space.contains from)
-      ~to_space ~los:None ~trace_los:false ~promoting:false ~object_hooks:None
+      ~to_space ~los:None ~trace_los:false ~object_hooks:None
       ~parallelism ~mode ?chunk_words ()
   in
   (* eight-root packets: enough initial breadth that every domain has
@@ -925,7 +925,7 @@ let locality_adjacency ~eager =
   let eng =
     Collectors.Cheney.create ~mem
       ~in_from:(Mem.Space.contains from)
-      ~to_space ~eager ~los:None ~trace_los:false ~promoting:false
+      ~to_space ~eager ~los:None ~trace_los:false
       ~object_hooks:None ()
   in
   Array.iteri

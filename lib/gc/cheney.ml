@@ -26,7 +26,6 @@ type t = {
   remember : (loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) option;
   los : Los.t option;
   trace_los : bool;
-  promoting : bool;
   promote_alloc : (int -> Mem.Addr.t option) option;
       (* when set, promotions are placed by this allocator (a backend
          over [to_space]'s block) instead of bumping the to-space
@@ -50,7 +49,7 @@ type t = {
 }
 
 let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = false)
-    ?site_tallies ~los ~trace_los ~promoting ~object_hooks () =
+    ?site_tallies ~los ~trace_los ~object_hooks () =
   let site_tallies =
     match site_tallies with
     | Some b -> b
@@ -68,7 +67,6 @@ let create ~mem ~in_from ~to_space ?aging ?remember ?promote_alloc ?(eager = fal
     remember;
     los;
     trace_los;
-    promoting;
     promote_alloc;
     object_hooks;
     eager;

@@ -44,7 +44,6 @@ val create :
   ?site_tallies:bool ->
   los:Los.t option ->
   trace_los:bool ->
-  promoting:bool ->
   object_hooks:Hooks.object_hooks option ->
   unit ->
   t
@@ -67,9 +66,7 @@ val create :
     docs/LAYOUT.md), so related objects land cache-adjacent.  Placement
     only — field rewriting still happens on the normal scan pass, and
     every [Gc_stats] total is order-insensitive, so eager and
-    breadth-first runs are counter-identical.
-    [promoting] tags the engine's copies into [to_space] as promotions
-    out of the nursery (statistics only). *)
+    breadth-first runs are counter-identical. *)
 
 (** [evacuate t v] forwards one value: from-region pointers are copied (or
     resolved through their forwarding pointer); large-object pointers are

@@ -1,9 +1,7 @@
-(* The concurrent Chase-Lev deque (Chase & Lev, SPAA 2005) backing the
-   real-domain drain engine.  Where [Deque] degrades the indices to
-   plain fields under the virtual-time scheduler, this module runs the
-   published algorithm on OCaml [Atomic]s — which are sequentially
-   consistent, so the classic proof carries over without the C11 fence
-   subtleties:
+(* The concurrent Chase-Lev deque (Chase & Lev, SPAA 2005) behind both
+   of [Par_drain]'s drivers, run on OCaml [Atomic]s — which are
+   sequentially consistent, so the classic proof carries over without
+   the C11 fence subtleties:
 
    - [bottom] is written only by the owner; the [Atomic.set] in [push]
      publishes the freshly written slot to thieves.
@@ -23,7 +21,21 @@
      its (now stale but harmless) contents.
 
    Packets are only pushed by the deque's owner during a drain, so there
-   is no concurrent-push case to handle. *)
+   is no concurrent-push case to handle.  On one domain (the virtual
+   scheduler) every CAS succeeds and the deque is a plain LIFO-bottom /
+   FIFO-top buffer. *)
+
+(* The [GSC_DEQUE_CHECKS] environment lookup happens exactly once, at
+   module initialisation: the flag guards assertions on the drain's hot
+   paths, and a [Sys.getenv_opt] per operation would be a syscall-shaped
+   cost inside the drain loop.  Tests that need the checks for one scope
+   flip the ref and restore it ([with_deque_checks] in test_gc.ml); the
+   cached environment value is only the startup default. *)
+let checks =
+  ref
+    (match Sys.getenv_opt "GSC_DEQUE_CHECKS" with
+     | Some ("" | "0") | None -> false
+     | Some _ -> true)
 
 type 'a t = {
   top : int Atomic.t;
@@ -99,7 +111,7 @@ let steal q =
     let x = a.(t land (Array.length a - 1)) in
     (* the CAS is the claim: only its winner may trust [x] *)
     if Atomic.compare_and_set q.top t (t + 1) then begin
-      (if !Deque.checks && x = None then
+      (if !checks && x = None then
          invalid_arg "Cl_deque.steal: claimed an empty slot");
       x
     end

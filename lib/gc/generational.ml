@@ -784,7 +784,7 @@ let minor_collection t =
         (Par_drain.create ~mem:t.mem
            ~in_from:(Mem.Space.contains t.nursery)
            ~to_space:t.tenured ~los:(Some t.los) ~trace_los:false
-           ~promoting:true ~eager:t.cfg.eager_evac
+           ~eager:t.cfg.eager_evac
            ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
            ~object_hooks:t.hooks.Hooks.object_hooks
            ?card_scan:
@@ -810,7 +810,7 @@ let minor_collection t =
               | Copying -> None
               | Mark_sweep ->
                 Some (fun words -> Alloc.Backend.alloc t.tenured_be words))
-           ~los:(Some t.los) ~trace_los:false ~promoting:true
+           ~los:(Some t.los) ~trace_los:false
            ~object_hooks:t.hooks.Hooks.object_hooks ())
   in
   let entries0 = t.stats.Gc_stats.barrier_entries_processed in
@@ -937,7 +937,7 @@ let major_collection t =
       E_par
         (Par_drain.create ~mem:t.mem
            ~in_from:(Mem.Space.contains t.tenured)
-           ~to_space ~los:(Some t.los) ~trace_los:true ~promoting:false
+           ~to_space ~los:(Some t.los) ~trace_los:true
            ~eager:t.cfg.eager_evac
            ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
            ~object_hooks:t.hooks.Hooks.object_hooks
@@ -949,7 +949,7 @@ let major_collection t =
       E_seq
         (Cheney.create ~mem:t.mem
            ~in_from:(Mem.Space.contains t.tenured)
-           ~to_space ~los:(Some t.los) ~trace_los:true ~promoting:false
+           ~to_space ~los:(Some t.los) ~trace_los:true
            ~eager:t.cfg.eager_evac
            ~site_tallies:(Obs.Trace.detailed () || t.cfg.adaptive)
            ~object_hooks:t.hooks.Hooks.object_hooks ())

@@ -5,10 +5,8 @@
    Mark state lives in a side bitmap (one byte per tenured word, indexed
    by the object's space-relative base offset) so object headers stay
    untouched — the mutator, the census walk and the write barrier all
-   keep seeing ordinary headers.  The gray set is a {!Deque} used
-   sequentially by owner 0: the worklist discipline (and its
-   [GSC_DEQUE_CHECKS] assertions) is shared with the parallel drain,
-   which keeps the door open for a parallel marker.
+   keep seeing ordinary headers.  The gray set is a LIFO stack of
+   object bases.
 
    The engine is per-collection, like {!Cheney}: create, push roots,
    [drain], [sweep], drop. *)
@@ -20,7 +18,7 @@ type t = {
   t_base : Mem.Addr.t;
   marks : Bytes.t;                  (* '\001' at marked object bases *)
   los : Los.t;
-  worklist : Mem.Addr.t Deque.t;
+  worklist : Mem.Addr.t Support.Vec.t;
   mutable marked_tenured : int;     (* words under marked tenured objects *)
   mutable marked_los : int;         (* words under marked large objects *)
   mutable marked_objects : int;
@@ -43,7 +41,7 @@ let create ~mem ~tenured ~los ?site_tallies () =
     t_base = Mem.Space.base tenured;
     marks = Bytes.make (Mem.Space.size_words tenured) '\000';
     los;
-    worklist = Deque.create ~owner:0;
+    worklist = Support.Vec.create ();
     marked_tenured = 0;
     marked_los = 0;
     marked_objects = 0;
@@ -75,7 +73,7 @@ let mark_tenured t a =
         ~site:(Mem.Header.site_c t.t_cells ~off)
         ~first:(not (Mem.Header.survivor_c t.t_cells ~off))
         ~words;
-    Deque.push t.worklist ~self:0 a
+    Support.Vec.push t.worklist a
   end
 
 let mark_addr t a =
@@ -83,7 +81,7 @@ let mark_addr t a =
   else if Los.contains t.los a then
     if Los.mark t.los a then begin
       t.marked_los <- t.marked_los + Mem.Header.object_words_at t.mem a;
-      Deque.push t.worklist ~self:0 a
+      Support.Vec.push t.worklist a
     end
 
 (* marking rewrites nothing, so both value representations funnel into
@@ -120,14 +118,9 @@ let scan_object t base =
   (Mem.Header.header_words ()) + len
 
 let drain t =
-  let rec loop () =
-    match Deque.pop t.worklist ~self:0 with
-    | None -> ()
-    | Some base ->
-      t.scanned <- t.scanned + scan_object t base;
-      loop ()
-  in
-  loop ()
+  while not (Support.Vec.is_empty t.worklist) do
+    t.scanned <- t.scanned + scan_object t (Support.Vec.pop t.worklist)
+  done
 
 let sweep t ~backend ~on_die =
   let cells = t.t_cells in

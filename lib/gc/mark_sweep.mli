@@ -12,9 +12,7 @@
 
     Like {!Cheney}, an engine value is per-collection: create it, feed
     it the roots, {!drain} to the mark fixpoint, {!sweep}, drop it.
-    The gray set reuses the {!Deque} machinery (owner 0, sequential
-    discipline) so the [GSC_DEQUE_CHECKS] assertions apply and a future
-    parallel marker inherits the worklist shape. *)
+    The gray set is a LIFO stack of object bases. *)
 
 type t
 

@@ -146,7 +146,7 @@ let collect_for t ~need =
       let engine =
         Par_drain.create ~mem:t.mem
           ~in_from:(Mem.Space.contains t.space)
-          ~to_space ~los:None ~trace_los:false ~promoting:false
+          ~to_space ~los:None ~trace_los:false
           ~eager:t.cfg.eager_evac
           ~object_hooks:t.hooks.Hooks.object_hooks
           ~parallelism:t.cfg.parallelism ~mode:t.cfg.parallelism_mode
@@ -175,7 +175,7 @@ let collect_for t ~need =
       let engine =
         Cheney.create ~mem:t.mem
           ~in_from:(Mem.Space.contains t.space)
-          ~to_space ~los:None ~trace_los:false ~promoting:false
+          ~to_space ~los:None ~trace_los:false
           ~eager:t.cfg.eager_evac
           ~object_hooks:t.hooks.Hooks.object_hooks ()
       in

@@ -1359,38 +1359,37 @@ let ms_sweep_safety_prop =
       && free1 - free0 = swept
       && Alloc.Backend.live_words be = reachable_words)
 
-(* --- Deque --- *)
+(* --- Cl_deque --- *)
 
 let with_deque_checks f =
-  let prev = !Collectors.Deque.checks in
-  Collectors.Deque.checks := true;
-  Fun.protect ~finally:(fun () -> Collectors.Deque.checks := prev) f
+  let prev = !Collectors.Cl_deque.checks in
+  Collectors.Cl_deque.checks := true;
+  Fun.protect ~finally:(fun () -> Collectors.Cl_deque.checks := prev) f
 
 let deque_owner_lifo_thief_fifo () =
   with_deque_checks @@ fun () ->
-  let d = Collectors.Deque.create ~owner:0 in
-  check_bool "starts empty" true (Collectors.Deque.is_empty d);
+  let d = Collectors.Cl_deque.create () in
+  check_bool "starts empty" true (Collectors.Cl_deque.is_empty d);
   (* grow past the initial capacity *)
   for i = 1 to 100 do
-    Collectors.Deque.push d ~self:0 i
+    Collectors.Cl_deque.push d i
   done;
-  check_int "length" 100 (Collectors.Deque.length d);
+  check_int "length" 100 (Collectors.Cl_deque.length d);
   Alcotest.(check (option int))
     "owner pops newest" (Some 100)
-    (Collectors.Deque.pop d ~self:0);
+    (Collectors.Cl_deque.pop d);
   Alcotest.(check (option int))
     "thief steals oldest" (Some 1)
-    (Collectors.Deque.steal d ~self:1);
+    (Collectors.Cl_deque.steal d);
   Alcotest.(check (option int))
     "steals advance" (Some 2)
-    (Collectors.Deque.steal d ~self:2);
+    (Collectors.Cl_deque.steal d);
   (* drain the rest from both ends; every element exactly once *)
   let seen = Hashtbl.create 128 in
   List.iter (fun x -> Hashtbl.replace seen x ()) [ 100; 1; 2 ];
   let rec drain flip =
     let next =
-      if flip then Collectors.Deque.pop d ~self:0
-      else Collectors.Deque.steal d ~self:1
+      if flip then Collectors.Cl_deque.pop d else Collectors.Cl_deque.steal d
     in
     match next with
     | None -> ()
@@ -1401,18 +1400,7 @@ let deque_owner_lifo_thief_fifo () =
   in
   drain true;
   check_int "all elements seen" 100 (Hashtbl.length seen);
-  Alcotest.(check (option int)) "empty pop" None (Collectors.Deque.pop d ~self:0)
-
-let deque_checks_catch_misuse () =
-  with_deque_checks @@ fun () ->
-  let d = Collectors.Deque.create ~owner:3 in
-  Collectors.Deque.push d ~self:3 42;
-  Alcotest.check_raises "non-owner push"
-    (Invalid_argument "Deque.push: bottom access by non-owner") (fun () ->
-      Collectors.Deque.push d ~self:0 1);
-  Alcotest.check_raises "owner steal"
-    (Invalid_argument "Deque.steal: owner must pop, not steal") (fun () ->
-      ignore (Collectors.Deque.steal d ~self:3))
+  Alcotest.(check (option int)) "empty pop" None (Collectors.Cl_deque.pop d)
 
 (* property: CAS-claim forwarding never double-copies, whatever order the
    packets arrive in.  Random graphs are staged as duplicated root
@@ -1471,7 +1459,7 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
       let p =
         Collectors.Par_drain.create ~mem
           ~in_from:(Mem.Space.contains from)
-          ~to_space ~los:None ~trace_los:false ~promoting:false
+          ~to_space ~los:None ~trace_los:false
           ~object_hooks:None ~parallelism ~mode ~seed ()
       in
       let batch =
@@ -1493,6 +1481,74 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
       Collectors.Par_drain.words_copied p = reachable_words
       && Collectors.Par_drain.words_scanned p = reachable_words
       && before = after
+
+(* Golden virtual schedule: one fixed seeded graph -- 16 roots over
+   random-depth trees with shared cross edges -- drained under [Virtual]
+   at p = 1, 2, 4.  The makespan sums every per-operation charge along
+   the lowest-clock turn order and the steal count follows the seeded
+   victim rotation, so a change to any cost charge, the deque discipline
+   or the steal order moves these exact figures. *)
+let golden_virtual_drain ~parallelism =
+  let mem = Mem.Memory.create () in
+  let from = Mem.Space.create mem ~words:(1 lsl 16) in
+  let prng = Support.Prng.create ~seed:2024 in
+  let objs = Support.Vec.create () in
+  let rec node d =
+    let child () =
+      if d = 0 then V.null
+      else if Support.Prng.int prng 4 > 0 then V.Ptr (node (d - 1))
+      else if Support.Vec.is_empty objs then V.null
+      else
+        V.Ptr (Support.Vec.get objs (Support.Prng.int prng (Support.Vec.length objs)))
+    in
+    let l = child () in
+    let r = child () in
+    let a = Option.get (Mem.Space.alloc from ((H.header_words ()) + 3)) in
+    H.write mem a (record_hdr ~mask:0b110 3) ~birth:0;
+    Mem.Memory.set mem (H.field_addr a 0) (V.Int (Support.Vec.length objs));
+    Mem.Memory.set mem (H.field_addr a 1) l;
+    Mem.Memory.set mem (H.field_addr a 2) r;
+    Support.Vec.push objs a;
+    a
+  in
+  let globals =
+    Array.init 16 (fun _ -> V.Ptr (node (3 + Support.Prng.int prng 6)))
+  in
+  let live = Mem.Space.used_words from in
+  let to_space =
+    Mem.Space.create mem
+      ~words:
+        (live
+        + Collectors.Par_drain.space_headroom ~parallelism ~copy_bound:live ())
+  in
+  let p =
+    Collectors.Par_drain.create ~mem
+      ~in_from:(Mem.Space.contains from)
+      ~to_space ~los:None ~trace_los:false
+      ~object_hooks:None ~parallelism ~seed:11 ()
+  in
+  let batch =
+    Rstack.Root.Batch.create ~capacity:4 ~emit:(Collectors.Par_drain.add_roots p)
+  in
+  Array.iteri
+    (fun i _ -> Rstack.Root.Batch.push batch (Rstack.Root.Global (globals, i)))
+    globals;
+  Rstack.Root.Batch.flush batch;
+  Collectors.Par_drain.run p;
+  p
+
+let par_drain_golden_virtual () =
+  with_deque_checks @@ fun () ->
+  List.iter
+    (fun (parallelism, makespan, steals, copied) ->
+      let p = golden_virtual_drain ~parallelism in
+      let name what = Printf.sprintf "p%d %s" parallelism what in
+      check_int (name "words_copied") copied
+        (Collectors.Par_drain.words_copied p);
+      check_int (name "makespan_ns") makespan
+        (Collectors.Par_drain.makespan_ns p);
+      check_int (name "steals") steals (Collectors.Par_drain.steals p))
+    [ (1, 40433, 0, 2820); (2, 22140, 2, 2820); (4, 14763, 8, 2820) ]
 
 let par_drain_no_double_copy_prop =
   QCheck.Test.make ~name:"parallel drain never double-copies" ~count:60
@@ -1662,10 +1718,10 @@ let () =
             par_seq_identical_semispace;
           Alcotest.test_case "identical site survival + domain spans" `Quick
             par_seq_identical_site_survival;
+          Alcotest.test_case "golden virtual makespans" `Quick
+            par_drain_golden_virtual;
           Alcotest.test_case "deque LIFO/FIFO discipline" `Quick
             deque_owner_lifo_thief_fifo;
-          Alcotest.test_case "deque checks catch misuse" `Quick
-            deque_checks_catch_misuse;
           QCheck_alcotest.to_alcotest par_drain_no_double_copy_prop ] );
       ( "real-domain-drain",
         [ Alcotest.test_case "identical stats (generational)" `Quick
