@@ -157,7 +157,7 @@ let hot_block () =
   let mem = Mem.Memory.create () in
   let base = Mem.Memory.alloc_block mem ~words:hot_words in
   for i = 0 to hot_words - 1 do
-    Mem.Memory.set mem (Mem.Addr.add base i) (V.Int i)
+    Mem.Memory.set mem (Mem.Addr.add base i) (V.of_int i)
   done;
   (mem, base)
 
@@ -199,9 +199,8 @@ let field_read_safe =
   fun () ->
     let s = ref 0 in
     for i = 0 to hot_words - 1 do
-      match Mem.Memory.get mem (Mem.Addr.add base i) with
-      | V.Int n -> s := !s + n
-      | V.Ptr _ -> ()
+      let v = Mem.Memory.get mem (Mem.Addr.add base i) in
+      if V.is_int v then s := !s + V.to_int v
     done;
     Sys.opaque_identity !s
 
@@ -212,7 +211,7 @@ let field_read_raw =
     let s = ref 0 in
     for i = 0 to hot_words - 1 do
       let w = cells.(i) in
-      if V.encoded_is_int w then s := !s + V.encoded_to_int w
+      if V.is_int w then s := !s + V.to_int w
     done;
     Sys.opaque_identity !s
 
@@ -220,7 +219,7 @@ let field_write_safe =
   let mem, base = hot_block () in
   fun () ->
     for i = 0 to hot_words - 1 do
-      Mem.Memory.set mem (Mem.Addr.add base i) (V.Int i)
+      Mem.Memory.set mem (Mem.Addr.add base i) (V.of_int i)
     done;
     Sys.opaque_identity base
 
@@ -229,7 +228,7 @@ let field_write_raw =
   fun () ->
     let cells = Mem.Memory.cells mem base in
     for i = 0 to hot_words - 1 do
-      cells.(i) <- V.encode_int i
+      cells.(i) <- V.of_int i
     done;
     Sys.opaque_identity base
 
@@ -301,9 +300,9 @@ let minor_gc_core ?(census_period = 0) raw () =
         { H.kind = H.Record { mask = 0b10 }; len = 2; site = 0 }
         ~birth:i
     in
-    Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+    Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
     Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-    if i mod 10 = 0 then globals.(0) <- V.Ptr a
+    if i mod 10 = 0 then globals.(0) <- V.of_addr a
   done;
   stats
 
@@ -423,7 +422,7 @@ let alloc_loop () =
         { H.kind = H.Nonptr_array; len = 2 + (i land 3); site = 0 }
         ~birth:i
     in
-    Mem.Memory.set mem (H.field_addr a 0) (V.Int i)
+    Mem.Memory.set mem (H.field_addr a 0) (V.of_int i)
   done;
   Sys.opaque_identity stats.Collectors.Gc_stats.minor_gcs
 
@@ -683,6 +682,15 @@ let serve_rows ~requests =
          float_of_int rep.Workloads.Serve.checksum) ])
     serve_configs
 
+(* [guard name ~measured ok ~fail] is one pass/fail check of the bench.
+   It prints its name and measured values to stdout (flushed) before it
+   can fail, so a log that keeps only stdout still names the guard that
+   tripped; [fail] is the message of the exception it then raises. *)
+let guard name ~measured ok ~fail =
+  Printf.printf "  guard %-26s %-7s %s\n%!" name
+    (if ok then "ok" else "FAILED") measured;
+  if not ok then failwith fail
+
 let serve_guard rows =
   let checksums =
     List.filter_map
@@ -690,18 +698,23 @@ let serve_guard rows =
         if Filename.check_suffix n ".checksum" then Some (n, v) else None)
       rows
   in
-  match checksums with
-  | [] -> failwith "bench: serve rows carried no checksums"
-  | (_, c0) :: rest ->
-    List.iter
-      (fun (n, c) ->
-        if c <> c0 then
-          failwith
-            (Printf.sprintf
-               "bench: %s = %.0f diverged from %.0f — the collector changed \
-                the program's result"
-               n c c0))
-      rest
+  guard "serve.checksums_present"
+    ~measured:(Printf.sprintf "%d checksum rows" (List.length checksums))
+    (checksums <> []) ~fail:"bench: serve rows carried no checksums";
+  let c0 = snd (List.hd checksums) in
+  match List.find_opt (fun (_, c) -> c <> c0) checksums with
+  | None ->
+    guard "serve.checksums_agree"
+      ~measured:(Printf.sprintf "all = %.0f" c0) true ~fail:""
+  | Some (n, c) ->
+    guard "serve.checksums_agree"
+      ~measured:(Printf.sprintf "%s = %.0f, first = %.0f" n c c0)
+      false
+      ~fail:
+        (Printf.sprintf
+           "bench: %s = %.0f diverged from %.0f — the collector changed \
+            the program's result"
+           n c c0)
 
 let print_serve_rows rows =
   print_endline
@@ -771,8 +784,10 @@ let serve_adaptive_guard rows =
       if Filename.check_suffix n "static.small.policy_updates"
          || Filename.check_suffix n "static.large.policy_updates"
       then
-        if v <> 0. then
-          failwith
+        guard "serve.static_no_updates"
+          ~measured:(Printf.sprintf "%s = %.0f" n v)
+          (v = 0.)
+          ~fail:
             (Printf.sprintf
                "bench: %s = %.0f — a static config emitted policy updates" n v))
     rows
@@ -821,18 +836,18 @@ let build_drain_graph ~n_roots ~depth =
     if d = 0 then
       let a = alloc { H.kind = H.Nonptr_array; len = 8; site } in
       for i = 0 to 7 do
-        Mem.Memory.set mem (H.field_addr a i) (V.Int (site + i))
+        Mem.Memory.set mem (H.field_addr a i) (V.of_int (site + i))
       done;
       a
     else begin
       let a = alloc { H.kind = H.Record { mask = 0b011 }; len = 3; site } in
-      Mem.Memory.set mem (H.field_addr a 0) (V.Ptr (tree site (d - 1)));
-      Mem.Memory.set mem (H.field_addr a 1) (V.Ptr (tree site (d - 1)));
-      Mem.Memory.set mem (H.field_addr a 2) (V.Int d);
+      Mem.Memory.set mem (H.field_addr a 0) (V.of_addr (tree site (d - 1)));
+      Mem.Memory.set mem (H.field_addr a 1) (V.of_addr (tree site (d - 1)));
+      Mem.Memory.set mem (H.field_addr a 2) (V.of_int d);
       a
     end
   in
-  let globals = Array.init n_roots (fun r -> V.Ptr (tree r depth)) in
+  let globals = Array.init n_roots (fun r -> V.of_addr (tree r depth)) in
   (mem, from, globals)
 
 (* Rebuilds the graph (forwarding destroys it), drains it at
@@ -950,16 +965,17 @@ let locality_adjacency ~eager =
       let len = H.len_c cells ~off:!off in
       let parent_end = !off + words in
       for i = 0 to len - 1 do
-        if mask land (1 lsl i) <> 0 then
-          match
+        if mask land (1 lsl i) <> 0 then begin
+          let v =
             Mem.Memory.get mem
               (Mem.Addr.add base (!off - base_off + (H.header_words ()) + i))
-          with
-          | V.Ptr child when in_to child ->
+          in
+          if V.is_ptr v && in_to (V.to_addr v) then begin
             incr total;
-            let d = Mem.Addr.offset child - parent_end in
+            let d = Mem.Addr.offset (V.to_addr v) - parent_end in
             if d >= 0 && d < 8 then incr adjacent
-          | _ -> ()
+          end
+        end
       done
     end;
     off := !off + words
@@ -1204,7 +1220,9 @@ let hotpath_ratios rows =
    - locality.parent_child_adjacent_pct.{breadth,eager}: exact
      percentages from the post-evacuation to-space walk
    - meta.cores: what the host offered this run, so trajectory readers
-     can tell scheduling artifacts from regressions *)
+     can tell scheduling artifacts from regressions
+   - meta.opaque: 1 when the bench was built -opaque (dune's dev
+     profile), which moves every timed row; 0 for the release default *)
 let layout_rows hot_rows =
   let copy =
     List.filter_map
@@ -1219,7 +1237,8 @@ let layout_rows hot_rows =
         ("minor_gc.packed", "copy.ns_per_word.packed", true) ]
   in
   copy @ locality_rows ()
-  @ [ ("meta.cores", float_of_int (Domain.recommended_domain_count ())) ]
+  @ [ ("meta.cores", float_of_int (Domain.recommended_domain_count ()));
+      ("meta.opaque", if Build_profile.opaque then 1. else 0.) ]
 
 (* robust decode comparison for the smoke guard: the tiny smoke quota
    gives bechamel too few samples to survive a loaded host (runtest
@@ -1256,12 +1275,17 @@ let emit_json rows =
   write_json path rows;
   (* validate what we wrote: the trajectory file must always parse *)
   let parsed = parse_json (read_file path) in
-  if List.length parsed <> List.length rows then
-    failwith "BENCH_gc.json: reparse lost entries";
+  guard "json.reparse"
+    ~measured:
+      (Printf.sprintf "%d written, %d parsed" (List.length rows)
+         (List.length parsed))
+    (List.length parsed = List.length rows)
+    ~fail:"BENCH_gc.json: reparse lost entries";
   List.iter
-    (fun (_, v) ->
+    (fun (n, v) ->
       if not (Float.is_finite v) || v < 0. then
-        failwith "BENCH_gc.json: non-finite entry")
+        guard "json.finite" ~measured:(Printf.sprintf "%s = %g" n v) false
+          ~fail:"BENCH_gc.json: non-finite entry")
     parsed;
   Printf.printf "BENCH_gc.json: %d entries written to %s\n" (List.length parsed)
     path;
@@ -1278,7 +1302,9 @@ let () =
     let rows =
       run_group ~group_name:"gc_hotpath" ~quota:0.02 ~limit:20 hotpath_tests
     in
-    if rows = [] then failwith "bench-smoke: no benchmark estimates";
+    guard "hotpath.estimates"
+      ~measured:(Printf.sprintf "%d rows" (List.length rows))
+      (rows <> []) ~fail:"bench-smoke: no benchmark estimates";
     print_endline "Profiling pipeline costs (smoke quota; indicative only):";
     print_profiling_rows rows;
     (* the packed one-word header must never decode slower than the
@@ -1292,10 +1318,12 @@ let () =
        therefore a 10%-slack regression bound, not a strict order. *)
     let lay = layout_rows rows in
     (let classic, packed = decode_min_ns () in
-     Printf.printf "  cold decode min: classic %.0f ns, packed %.0f ns\n\n"
-       classic packed;
-     if not (packed < classic *. 1.10) then
-       failwith
+     guard "decode.packed_vs_classic"
+       ~measured:
+         (Printf.sprintf "classic %.0f ns, packed %.0f ns (ratio %.3f, max 1.10)"
+            classic packed (packed /. classic))
+       (packed < classic *. 1.10)
+       ~fail:
          (Printf.sprintf
             "bench-smoke: packed header decode (%.1f ns) regressed above \
              classic (%.1f ns) beyond noise"
@@ -1303,19 +1331,25 @@ let () =
     let adj which =
       List.assoc ("locality.parent_child_adjacent_pct." ^ which) lay
     in
-    if not (adj "eager" > adj "breadth") then
-      failwith
+    guard "locality.eager_vs_breadth"
+      ~measured:
+        (Printf.sprintf "eager %.1f%%, breadth %.1f%%" (adj "eager")
+           (adj "breadth"))
+      (adj "eager" > adj "breadth")
+      ~fail:
         (Printf.sprintf
            "bench-smoke: eager evacuation no more adjacent than breadth-first \
             (%.1f%% vs %.1f%%)"
            (adj "eager") (adj "breadth"));
+    print_newline ();
     print_layout_rows lay;
     (* 2-domain drain smoke: the virtual rows are deterministic, so the
        speedup is checkable even under the tiny quota *)
     let drain = parallel_drain_rows [ 1; 2 ] in
     let p1 = List.assoc "drain.p1" drain and p2 = List.assoc "drain.p2" drain in
-    if not (p2 < p1) then
-      failwith "bench-smoke: 2-domain drain no faster than 1-domain";
+    guard "drain.virtual_p2_vs_p1"
+      ~measured:(Printf.sprintf "p1 %.0f, p2 %.0f" p1 p2)
+      (p2 < p1) ~fail:"bench-smoke: 2-domain drain no faster than 1-domain";
     print_drain_rows drain;
     (* 2-domain wall sanity: real domains must complete and, given real
        cores to run on, not collapse (>= 0.85x of sequential — a floor
@@ -1324,13 +1358,16 @@ let () =
     print_wall_rows ~header:"Real-domain drain wall time (median of 5)" wall;
     let w1 = List.assoc "drain.p1.wall" wall
     and w2 = List.assoc "drain.p2.wall" wall in
-    if Domain.recommended_domain_count () >= 2 then begin
-      if w1 /. w2 < 0.85 then
-        failwith
+    if Domain.recommended_domain_count () >= 2 then
+      guard "drain.wall_p2_vs_p1"
+        ~measured:
+          (Printf.sprintf "p1 %.0f ns, p2 %.0f ns (speed %.2fx, min 0.85x)" w1
+             w2 (w1 /. w2))
+        (w1 /. w2 >= 0.85)
+        ~fail:
           (Printf.sprintf
              "bench-smoke: 2-domain wall drain collapsed (%.2fx of p1)"
              (w1 /. w2))
-    end
     else
       print_endline
         "  (single-core host: wall speedup guard skipped; rows measure \
@@ -1339,23 +1376,34 @@ let () =
       run_group ~group_name:"alloc_backend" ~quota:0.02 ~limit:20
         alloc_backend_tests
     in
-    if be_rows = [] then failwith "bench-smoke: no backend estimates";
+    guard "backend.estimates"
+      ~measured:(Printf.sprintf "%d rows" (List.length be_rows))
+      (be_rows <> []) ~fail:"bench-smoke: no backend estimates";
     let frag = backend_frag_rows () in
     (* bump never reuses a hole, so after identical churn the reusing
        policies must leave strictly less garbage stranded *)
     let free_of kind =
       List.assoc (Printf.sprintf "frag.%s.free_w" kind) frag
     in
-    if not (free_of "free_list" < free_of "bump") then
-      failwith "bench-smoke: free_list strands no less than bump";
+    guard "frag.free_list_vs_bump"
+      ~measured:
+        (Printf.sprintf "free_list %.0f w, bump %.0f w" (free_of "free_list")
+           (free_of "bump"))
+      (free_of "free_list" < free_of "bump")
+      ~fail:"bench-smoke: free_list strands no less than bump";
     print_frag_rows frag;
     let major = major_rows () in
     (* the reclaim invariants the rows exist to pin: the mark-sweep
        major must actually sweep, and the copying major never does *)
-    if List.assoc "major.mark_sweep.swept_free_w" major <= 0. then
-      failwith "bench-smoke: mark-sweep major swept nothing";
-    if List.assoc "major.copying.swept_free_w" major <> 0. then
-      failwith "bench-smoke: copying major reported swept words";
+    let swept kind = List.assoc ("major." ^ kind ^ ".swept_free_w") major in
+    guard "major.mark_sweep_sweeps"
+      ~measured:(Printf.sprintf "%.0f w swept" (swept "mark_sweep"))
+      (swept "mark_sweep" > 0.)
+      ~fail:"bench-smoke: mark-sweep major swept nothing";
+    guard "major.copying_sweeps_none"
+      ~measured:(Printf.sprintf "%.0f w swept" (swept "copying"))
+      (swept "copying" = 0.)
+      ~fail:"bench-smoke: copying major reported swept words";
     print_major_rows major;
     (* the serve grid is cheap enough to run whole even at smoke scale,
        and the checksum guard only means anything run across every

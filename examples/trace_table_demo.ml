@@ -54,11 +54,11 @@ let () =
     R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1) ];
     R.alloc_record rt ~site ~dst:(R.To_reg 10) [ R.I (R.Imm 2) ];
     R.call rt ~key:callee_key ~args:[] (fun () ->
-      R.set_slot rt 0 (Mem.Value.Int 42);
+      R.set_slot rt 0 (Mem.Value.of_int 42);
       R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 3) ];
       R.alloc_record rt ~site ~dst:(R.To_slot 2) [ R.I (R.Imm 4) ];
       (* slot 3 says "slot 4 is boxed"; slot 4 then needs a pointer *)
-      R.set_slot rt 3 (Mem.Value.Int Rstack.Trace.type_code_boxed);
+      R.set_slot rt 3 (Mem.Value.of_int Rstack.Trace.type_code_boxed);
       R.alloc_record rt ~site ~dst:(R.To_slot 4) [ R.I (R.Imm 5) ];
       (* save the caller's register 10 into slot 5, as the callee would *)
       R.set_slot rt 5 (R.get_reg rt 10);

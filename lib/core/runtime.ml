@@ -54,14 +54,13 @@ let check_heap t =
   let visited : (Mem.Addr.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let push_value v =
-    match v with
-    | Value.Int _ -> ()
-    | Value.Ptr a ->
-      if not (Mem.Addr.is_null a) then
-        if not (Hashtbl.mem visited a) then begin
-          Hashtbl.replace visited a ();
-          Queue.add a queue
-        end
+    if Value.is_ptr v then begin
+      let a = Value.to_addr v in
+      if not (Hashtbl.mem visited a) then begin
+        Hashtbl.replace visited a ();
+        Queue.add a queue
+      end
+    end
   in
   (* roots: trace-accurate stack scan against a scratch cache *)
   let scratch = Rstack.Scan_cache.create () in
@@ -245,7 +244,7 @@ type field =
   | I of src
 
 let read t = function
-  | Imm n -> Value.Int n
+  | Imm n -> Value.of_int n
   | Nil -> Value.null
   | Slot i -> Rstack.Frame.get (Rstack.Stack_.top t.stack) i
   | Reg r -> Rstack.Reg_file.get t.regs r
@@ -276,10 +275,16 @@ let mut_op t =
   t.stats.Collectors.Gc_stats.mutator_ops <-
     t.stats.Collectors.Gc_stats.mutator_ops + 1
 
+let rec set_args frame i = function
+  | [] -> ()
+  | v :: rest ->
+    Rstack.Frame.set frame i v;
+    set_args frame (i + 1) rest
+
 let call t ~key ~args f =
   mut_op t;
   let frame = Rstack.Stack_.push t.stack ~key in
-  List.iteri (fun i v -> Rstack.Frame.set frame i v) args;
+  set_args frame 0 args;
   match f () with
   | v ->
     pop_frame t frame;
@@ -317,10 +322,11 @@ let note_edge_value t ~from_site v =
      same decision) *)
   if (t.profiler <> None || t.trace_edges <> None) && Value.is_ptr v then begin
     let target = Value.to_addr v in
-    match Header.forwarded t.mem target with
-    | Some _ -> () (* cannot happen outside a collection *)
-    | None ->
-      let to_site = (Header.read t.mem target).Header.site in
+    let cells = Memory.cells t.mem target
+    and off = Mem.Addr.offset target in
+    (* a forwarded target cannot happen outside a collection *)
+    if not (Header.is_forwarded_c cells ~off) then begin
+      let to_site = Header.site_c cells ~off in
       (match t.profiler with
        | None -> ()
        | Some p -> Heap_profile.Profiler.note_edge p ~from_site ~to_site);
@@ -331,6 +337,7 @@ let note_edge_value t ~from_site v =
            Hashtbl.replace seen (from_site, to_site) ();
            Obs.Trace.site_edge ~from_site ~to_site
          end)
+    end
   end
 
 let alloc_object t hdr =
@@ -356,122 +363,139 @@ let alloc_object t hdr =
   base
 
 let check_pointer_value v =
-  match v with
-  | Value.Ptr _ -> ()
-  | Value.Int _ -> invalid_arg "Runtime: integer written to a pointer field"
+  if Value.is_int v then
+    invalid_arg "Runtime: integer written to a pointer field"
 
 let check_integer_value v =
-  match v with
-  | Value.Int _ -> ()
-  | Value.Ptr a when Mem.Addr.is_null a -> ()
-  | Value.Ptr _ -> invalid_arg "Runtime: pointer written to an integer field"
+  if Value.is_ptr v then
+    invalid_arg "Runtime: pointer written to an integer field"
+
+(* The field operations below resolve the object's block once and decode
+   its header straight from the cell array, so no access allocates.
+   [obj_cells] and [field_pos] make the checks the safe path
+   ([Header.read], [Memory.get]/[set]) makes, with the same messages. *)
+
+let obj_cells t base =
+  let cells = Memory.cells t.mem base in
+  if Header.is_forwarded_c cells ~off:(Mem.Addr.offset base) then
+    invalid_arg "Header.read: forwarded object";
+  cells
+
+let field_pos cells ~off ~idx ~what =
+  if idx < 0 || idx >= Header.len_c cells ~off then
+    invalid_arg "Runtime: field index out of bounds";
+  let pos = off + Header.header_words () + idx in
+  if pos >= Array.length cells then invalid_arg what;
+  pos
+
+let rec record_mask i = function
+  | [] -> 0
+  | P _ :: rest -> (1 lsl i) lor record_mask (i + 1) rest
+  | I _ :: rest -> record_mask (i + 1) rest
+
+let rec init_fields t ~site cells ~off idx = function
+  | [] -> ()
+  | f :: rest ->
+    let v =
+      match f with
+      | P s ->
+        let v = read t s in
+        check_pointer_value v;
+        note_edge_value t ~from_site:site v;
+        v
+      | I s ->
+        let v = read t s in
+        check_integer_value v;
+        v
+    in
+    cells.(field_pos cells ~off ~idx ~what:"Memory.set: offset out of block")
+    <- v;
+    init_fields t ~site cells ~off (idx + 1) rest
 
 let alloc_record t ~site ~dst fields =
-  let len = List.length fields in
-  let mask =
-    List.fold_left
-      (fun (i, m) f ->
-        match f with
-        | P _ -> (i + 1, m lor (1 lsl i))
-        | I _ -> (i + 1, m))
-      (0, 0) fields
-    |> snd
+  let mask = record_mask 0 fields in
+  let hdr =
+    { Header.kind = Header.Record { mask }; len = List.length fields; site }
   in
-  let hdr = { Header.kind = Header.Record { mask }; len; site } in
   let base = alloc_object t hdr in
-  List.iteri
-    (fun i f ->
-      let v =
-        match f with
-        | P s ->
-          let v = read t s in
-          check_pointer_value v;
-          note_edge_value t ~from_site:site v;
-          v
-        | I s ->
-          let v = read t s in
-          check_integer_value v;
-          v
-      in
-      Memory.set t.mem (Header.field_addr base i) v)
+  init_fields t ~site (Memory.cells t.mem base) ~off:(Mem.Addr.offset base) 0
     fields;
-  write t dst (Value.Ptr base)
+  write t dst (Value.of_addr base)
 
 let alloc_ptr_array t ~site ~dst ~len =
   let hdr = { Header.kind = Header.Ptr_array; len; site } in
   let base = alloc_object t hdr in
   (* null pointers, not zero integers *)
   Memory.fill t.mem ~dst:(Header.field_addr base 0) ~words:len Value.null;
-  write t dst (Value.Ptr base)
+  write t dst (Value.of_addr base)
 
 let alloc_nonptr_array t ~site ~dst ~len =
   let hdr = { Header.kind = Header.Nonptr_array; len; site } in
   let base = alloc_object t hdr in
-  write t dst (Value.Ptr base)
+  write t dst (Value.of_addr base)
 
 (* --- heap access --- *)
 
 let obj_base t src =
-  match read t src with
-  | Value.Ptr a when not (Mem.Addr.is_null a) -> a
-  | Value.Ptr _ -> invalid_arg "Runtime: null pointer dereference"
-  | Value.Int _ -> invalid_arg "Runtime: dereferencing an integer"
-
-let header_of t src = Header.read t.mem (obj_base t src)
-
-let check_index hdr idx =
-  if idx < 0 || idx >= hdr.Header.len then
-    invalid_arg "Runtime: field index out of bounds"
+  let v = read t src in
+  if Value.is_int v then invalid_arg "Runtime: dereferencing an integer";
+  if Value.is_null v then invalid_arg "Runtime: null pointer dereference";
+  Value.to_addr v
 
 let load_field t ~obj ~idx ~dst =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  write t dst (Memory.get t.mem (Header.field_addr base idx))
+  let cells = obj_cells t base in
+  let off = Mem.Addr.offset base in
+  write t dst
+    cells.(field_pos cells ~off ~idx ~what:"Memory.get: offset out of block")
 
 let store_field t ~obj ~idx field =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  let loc = Header.field_addr base idx in
+  let cells = obj_cells t base in
+  let off = Mem.Addr.offset base in
+  let pos = field_pos cells ~off ~idx ~what:"Memory.set: offset out of block" in
   match field with
   | P s ->
-    if not (Header.is_pointer_field hdr idx) then
+    if not (Header.is_pointer_field_c cells ~off idx) then
       invalid_arg "Runtime: pointer store into a non-pointer field";
     let v = read t s in
     check_pointer_value v;
-    Memory.set t.mem loc v;
-    Collectors.Collector.record_update (collector t) ~obj:base ~loc;
-    note_edge_value t ~from_site:hdr.Header.site v
+    cells.(pos) <- v;
+    Collectors.Collector.record_update (collector t) ~obj:base
+      ~loc:(Header.field_addr base idx);
+    note_edge_value t ~from_site:(Header.site_c cells ~off) v
   | I s ->
-    if Header.is_pointer_field hdr idx then
+    if Header.is_pointer_field_c cells ~off idx then
       invalid_arg "Runtime: integer store into a pointer field";
     let v = read t s in
     check_integer_value v;
-    Memory.set t.mem loc v
+    cells.(pos) <- v
 
 let field_int t ~obj ~idx =
   mut_op t;
   let base = obj_base t obj in
-  let hdr = Header.read t.mem base in
-  check_index hdr idx;
-  Value.to_int (Memory.get t.mem (Header.field_addr base idx))
+  let cells = obj_cells t base in
+  let off = Mem.Addr.offset base in
+  Value.to_int
+    cells.(field_pos cells ~off ~idx ~what:"Memory.get: offset out of block")
 
-let obj_length t ~obj = (header_of t obj).Header.len
-let obj_site t ~obj = (header_of t obj).Header.site
+let obj_length t ~obj =
+  let base = obj_base t obj in
+  Header.len_c (obj_cells t base) ~off:(Mem.Addr.offset base)
 
-let is_nil t src =
-  match read t src with
-  | Value.Ptr a -> Mem.Addr.is_null a
-  | Value.Int _ -> false
+let obj_site t ~obj =
+  let base = obj_base t obj in
+  Header.site_c (obj_cells t base) ~off:(Mem.Addr.offset base)
+
+let is_nil t src = Value.is_null (read t src)
 
 let same_obj t a b =
-  match read t a, read t b with
-  | Value.Ptr x, Value.Ptr y -> Mem.Addr.equal x y
-  | Value.Int _, _ | _, Value.Int _ ->
-    invalid_arg "Runtime.same_obj: integer operand"
+  let x = read t a and y = read t b in
+  if Value.is_int x || Value.is_int y then
+    invalid_arg "Runtime.same_obj: integer operand";
+  Value.equal x y
 
 (* --- exceptions --- *)
 
@@ -530,13 +554,13 @@ let observe_exit_deaths t =
     let visited : (Mem.Addr.t, unit) Hashtbl.t = Hashtbl.create 1024 in
     let queue = Queue.create () in
     let push_value v =
-      match v with
-      | Value.Int _ -> ()
-      | Value.Ptr a ->
-        if (not (Mem.Addr.is_null a)) && not (Hashtbl.mem visited a) then begin
+      if Value.is_ptr v then begin
+        let a = Value.to_addr v in
+        if not (Hashtbl.mem visited a) then begin
           Hashtbl.replace visited a ();
           Queue.add a queue
         end
+      end
     in
     let scratch = Rstack.Scan_cache.create () in
     ignore

@@ -1,12 +1,12 @@
 (* Two implementations of every inner loop live here.
 
    The *safe* path goes through [Memory.get]/[set] and [Header.read]:
-   every field touched re-resolves its block and boxes a [Value.t].  It
-   is the executable specification.
+   every field touched re-resolves its block, and every object visited
+   allocates a decoded [Header.t].  It is the executable specification.
 
    The *raw* path (default, [use_raw]) resolves each object's block once
-   into a cell-array handle ([Memory.cells]) and moves encoded words
-   ([Value.encode]d ints) with no allocation.  [test_gc.ml] pins the two
+   into a cell-array handle ([Memory.cells]) and decodes header fields
+   straight from the cells, with no allocation.  [test_gc.ml] pins the two
    paths to identical [Gc_stats] counters and heap contents. *)
 
 let use_raw = ref true
@@ -20,9 +20,9 @@ type t = {
   mem : Mem.Memory.t;
   in_from : Mem.Addr.t -> bool;
   to_space : Mem.Space.t;
-  to_cells : int array;             (* block handle of [to_space] *)
+  to_cells : Mem.Value.t array;     (* block handle of [to_space] *)
   aging : aging option;
-  young_cells : int array;          (* block handle of [aging.young_to] *)
+  young_cells : Mem.Value.t array;  (* block handle of [aging.young_to] *)
   remember : (loc:Mem.Addr.t -> owner:Mem.Addr.t option -> unit) option;
   los : Los.t option;
   trace_los : bool;
@@ -183,9 +183,8 @@ let rec eager_children_raw t dst ~depth =
     while !i < len && t.eager_budget > 0 do
       if (not masked) || mask land (1 lsl !i) <> 0 then begin
         let w = dcells.(doff + hw + !i) in
-        if (not (Mem.Value.encoded_is_int w)) && w <> Mem.Value.encoded_null
-        then begin
-          let a = Mem.Value.encoded_to_addr w in
+        if Mem.Value.is_ptr w then begin
+          let a = Mem.Value.to_addr w in
           if t.in_from a then begin
             let src = Mem.Memory.cells t.mem a in
             let soff = Mem.Addr.offset a in
@@ -203,23 +202,23 @@ let rec eager_children_raw t dst ~depth =
     done
   end
 
-(* forward one encoded word; returns the (possibly rewritten) word *)
+(* forward one word; returns the (possibly rewritten) word *)
 let evacuate_raw t w =
-  if Mem.Value.encoded_is_int w || w = Mem.Value.encoded_null then w
+  if not (Mem.Value.is_ptr w) then w
   else begin
-    let a = Mem.Value.encoded_to_addr w in
+    let a = Mem.Value.to_addr w in
     if t.in_from a then begin
       let src = Mem.Memory.cells t.mem a in
       let soff = Mem.Addr.offset a in
       if Mem.Header.is_forwarded_c src ~off:soff then
-        Mem.Value.encode_addr (Mem.Header.forward_target_c src ~off:soff)
+        Mem.Value.of_addr (Mem.Header.forward_target_c src ~off:soff)
       else begin
         let dst = copy_object_raw t src soff in
         if t.eager then begin
           t.eager_budget <- eager_words_bound;
           eager_children_raw t dst ~depth:0
         end;
-        Mem.Value.encode_addr dst
+        Mem.Value.of_addr dst
       end
     end
     else begin
@@ -237,8 +236,8 @@ let evacuate_raw t w =
 let remember_check t ~loc ~owner w' =
   match t.remember, t.aging with
   | Some remember, Some a
-    when Mem.Value.encoded_is_ptr w'
-         && Mem.Space.contains a.young_to (Mem.Value.encoded_to_addr w')
+    when Mem.Value.is_ptr w'
+         && Mem.Space.contains a.young_to (Mem.Value.to_addr w')
          && not (Mem.Space.contains a.young_to loc) ->
     remember ~loc ~owner
   | (Some _ | None), _ -> ()
@@ -254,7 +253,7 @@ let scan_object_raw t base =
        let foff = off + (Mem.Header.header_words ()) + i in
        let w = cells.(foff) in
        let w' = evacuate_raw t w in
-       if w' <> w then cells.(foff) <- w';
+       if not (Mem.Value.equal w' w) then cells.(foff) <- w';
        if aging_edges then
          remember_check t
            ~loc:(Mem.Addr.unsafe_add base ((Mem.Header.header_words ()) + i))
@@ -278,7 +277,7 @@ let visit_loc_raw t loc =
   let off = Mem.Addr.offset loc in
   let w = cells.(off) in
   let w' = evacuate_raw t w in
-  if w' <> w then cells.(off) <- w';
+  if not (Mem.Value.equal w' w) then cells.(off) <- w';
   if t.remember <> None && t.aging <> None then
     remember_check t ~loc ~owner:None w'
 
@@ -326,35 +325,34 @@ let rec eager_children_safe t dst ~depth =
     let i = ref 0 in
     while !i < hdr.Mem.Header.len && t.eager_budget > 0 do
       if Mem.Header.is_pointer_field hdr !i then begin
-        match Mem.Memory.get t.mem (Mem.Header.field_addr dst !i) with
-        | Mem.Value.Ptr a
-          when (not (Mem.Addr.is_null a))
-               && t.in_from a
-               && Mem.Header.forwarded t.mem a = None ->
-          t.eager_budget <- t.eager_budget - Mem.Header.object_words_at t.mem a;
-          let cdst = copy_object_safe t a in
-          if depth + 1 < eager_depth_bound && t.eager_budget > 0 then
-            eager_children_safe t cdst ~depth:(depth + 1)
-        | Mem.Value.Ptr _ | Mem.Value.Int _ -> ()
+        let v = Mem.Memory.get t.mem (Mem.Header.field_addr dst !i) in
+        if Mem.Value.is_ptr v then begin
+          let a = Mem.Value.to_addr v in
+          if t.in_from a && Mem.Header.forwarded t.mem a = None then begin
+            t.eager_budget <- t.eager_budget - Mem.Header.object_words_at t.mem a;
+            let cdst = copy_object_safe t a in
+            if depth + 1 < eager_depth_bound && t.eager_budget > 0 then
+              eager_children_safe t cdst ~depth:(depth + 1)
+          end
+        end
       end;
       incr i
     done
 
 let evacuate_safe t v =
-  match v with
-  | Mem.Value.Int _ -> v
-  | Mem.Value.Ptr a ->
-    if Mem.Addr.is_null a then v
-    else if t.in_from a then begin
+  if not (Mem.Value.is_ptr v) then v
+  else begin
+    let a = Mem.Value.to_addr v in
+    if t.in_from a then begin
       match Mem.Header.forwarded t.mem a with
-      | Some target -> Mem.Value.Ptr target
+      | Some target -> Mem.Value.of_addr target
       | None ->
         let dst = copy_object_safe t a in
         if t.eager then begin
           t.eager_budget <- eager_words_bound;
           eager_children_safe t dst ~depth:0
         end;
-        Mem.Value.Ptr dst
+        Mem.Value.of_addr dst
     end
     else begin
       (match t.los with
@@ -363,18 +361,19 @@ let evacuate_safe t v =
        | Some _ | None -> ());
       v
     end
+  end
 
 let visit_field_safe t ~owner loc =
   let v = Mem.Memory.get t.mem loc in
   let v' = evacuate_safe t v in
   if not (Mem.Value.equal v v') then Mem.Memory.set t.mem loc v';
-  match t.remember, t.aging, v' with
-  | Some remember, Some a, Mem.Value.Ptr target
-    when (not (Mem.Addr.is_null target))
-         && Mem.Space.contains a.young_to target
+  match t.remember, t.aging with
+  | Some remember, Some a
+    when Mem.Value.is_ptr v'
+         && Mem.Space.contains a.young_to (Mem.Value.to_addr v')
          && not (Mem.Space.contains a.young_to loc) ->
     remember ~loc ~owner
-  | (Some _ | None), _, _ -> ()
+  | (Some _ | None), _ -> ()
 
 let scan_object_safe t base =
   let hdr = Mem.Header.read t.mem base in
@@ -393,17 +392,7 @@ let scan_object_safe t base =
 
 (* --- dispatching entry points --- *)
 
-let evacuate t v =
-  if not !use_raw then evacuate_safe t v
-  else
-    match v with
-    | Mem.Value.Int _ -> v
-    | Mem.Value.Ptr a ->
-      if Mem.Addr.is_null a then v
-      else begin
-        let w' = evacuate_raw t (Mem.Value.encode v) in
-        Mem.Value.Ptr (Mem.Value.encoded_to_addr w')
-      end
+let evacuate t v = if !use_raw then evacuate_raw t v else evacuate_safe t v
 
 let visit_root t root =
   let v = Rstack.Root.get root in

@@ -16,12 +16,13 @@
 type t
 
 (** When true (the default), the engine's inner loops run on the raw
-    memory API: one block-handle resolution per object, encoded words,
-    no per-field [Value.t] boxing.  When false, every loop goes through
-    the safe [Memory.get]/[set] reference implementation.  The two paths
-    are observably identical (values, hook calls, statistics); the flag
-    exists for the equivalence tests and the [gc_hotpath] benchmarks.
-    Not meant to be flipped during a collection. *)
+    memory API: one block-handle resolution per object and header fields
+    decoded from the cells, with no allocation.  When false, every loop
+    goes through the safe [Memory.get]/[set] and [Header.read] reference
+    implementation.  The two paths are observably identical (values,
+    hook calls, statistics); the flag exists for the equivalence tests
+    and the [gc_hotpath] benchmarks.  Not meant to be flipped during a
+    collection. *)
 val use_raw : bool ref
 
 (** Aging-nursery evacuation (Section 7.2's alternative tenuring policy):

@@ -14,7 +14,7 @@
 type t = {
   mem : Mem.Memory.t;
   tenured : Mem.Space.t;
-  t_cells : int array;              (* block handle of [tenured] *)
+  t_cells : Mem.Value.t array;      (* block handle of [tenured] *)
   t_base : Mem.Addr.t;
   marks : Bytes.t;                  (* '\001' at marked object bases *)
   los : Los.t;
@@ -84,16 +84,9 @@ let mark_addr t a =
       Support.Vec.push t.worklist a
     end
 
-(* marking rewrites nothing, so both value representations funnel into
-   [mark_addr]; there is no separate safe/raw pair to keep equivalent *)
-let mark_encoded t w =
-  if not (Mem.Value.encoded_is_int w || w = Mem.Value.encoded_null) then
-    mark_addr t (Mem.Value.encoded_to_addr w)
-
-let mark_value t v =
-  match v with
-  | Mem.Value.Int _ -> ()
-  | Mem.Value.Ptr a -> if not (Mem.Addr.is_null a) then mark_addr t a
+(* marking rewrites nothing, so roots and fields share [mark_value];
+   there is no separate safe/raw pair to keep equivalent *)
+let mark_value t v = if Mem.Value.is_ptr v then mark_addr t (Mem.Value.to_addr v)
 
 let visit_root t root = mark_value t (Rstack.Root.get root)
 
@@ -103,7 +96,7 @@ let scan_object t base =
   let tag = Mem.Header.tag_c cells ~off in
   let len = Mem.Header.len_c cells ~off in
   (if tag <> Mem.Header.tag_nonptr_array then begin
-     let visit i = mark_encoded t cells.(off + (Mem.Header.header_words ()) + i) in
+     let visit i = mark_value t cells.(off + (Mem.Header.header_words ()) + i) in
      if tag = Mem.Header.tag_ptr_array then
        for i = 0 to len - 1 do
          visit i

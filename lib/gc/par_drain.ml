@@ -124,7 +124,7 @@ type t = {
   mem : Mem.Memory.t;
   in_from : Mem.Addr.t -> bool;
   to_space : Mem.Space.t;
-  to_cells : int array;
+  to_cells : Mem.Value.t array;
   to_base : Mem.Addr.t;
   to_base_off : int;
   los : Los.t option;
@@ -363,10 +363,8 @@ and eager_children t w doff =
     while !i < len && w.eager_budget > 0 do
       (if (not masked) || mask land (1 lsl !i) <> 0 then begin
          let word = cells.(fbase + !i) in
-         if not (Mem.Value.encoded_is_int word)
-            && word <> Mem.Value.encoded_null
-         then begin
-           let a = Mem.Value.encoded_to_addr word in
+         if Mem.Value.is_ptr word then begin
+           let a = Mem.Value.to_addr word in
            if t.in_from a then begin
              let src = Mem.Memory.cells t.mem a in
              let soff = Mem.Addr.offset a in
@@ -383,9 +381,9 @@ and eager_children t w doff =
   end
 
 let evacuate t w word =
-  if Mem.Value.encoded_is_int word || word = Mem.Value.encoded_null then word
+  if not (Mem.Value.is_ptr word) then word
   else begin
-    let a = Mem.Value.encoded_to_addr word in
+    let a = Mem.Value.to_addr word in
     if t.in_from a then begin
       let src = Mem.Memory.cells t.mem a in
       let soff = Mem.Addr.offset a in
@@ -396,9 +394,9 @@ let evacuate t w word =
         Mutex.lock lk;
         let dst = Mem.Header.forward_target_c src ~off:soff in
         Mutex.unlock lk;
-        Mem.Value.encode_addr dst
+        Mem.Value.of_addr dst
       end
-      else Mem.Value.encode_addr (copy_object t w src soff)
+      else Mem.Value.of_addr (copy_object t w src soff)
     end
     else begin
       (match t.los with
@@ -424,7 +422,7 @@ let scan_fields t w cells off =
      let visit foff =
        let word = cells.(foff) in
        let word' = evacuate t w word in
-       if word' <> word then cells.(foff) <- word'
+       if not (Mem.Value.equal word' word) then cells.(foff) <- word'
      in
      let fbase = off + (Mem.Header.header_words ()) in
      if tag = Mem.Header.tag_ptr_array then
@@ -456,19 +454,13 @@ let visit_loc t w loc =
   let off = Mem.Addr.offset loc in
   let word = cells.(off) in
   let word' = evacuate t w word in
-  if word' <> word then cells.(off) <- word'
+  if not (Mem.Value.equal word' word) then cells.(off) <- word'
 
 let visit_root t w root =
   w.clock <- w.clock + cost_root;
   let v = Rstack.Root.get root in
-  match v with
-  | Mem.Value.Int _ -> ()
-  | Mem.Value.Ptr a ->
-    if not (Mem.Addr.is_null a) then begin
-      let word' = evacuate t w (Mem.Value.encode v) in
-      let v' = Mem.Value.Ptr (Mem.Value.encoded_to_addr word') in
-      if not (Mem.Value.equal v v') then Rstack.Root.set root v'
-    end
+  let v' = evacuate t w v in
+  if not (Mem.Value.equal v v') then Rstack.Root.set root v'
 
 let process_packet t w p =
   w.packets <- w.packets + 1;

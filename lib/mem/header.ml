@@ -18,9 +18,9 @@ type layout = Classic | Packed
    is the birth clock.
 
    Packed folds everything into ONE meta word (62 usable bits; header
-   words are stored encoded as [(w lsl 1) lor 1]).  The low 6 bits keep
-   the classic positions so tag/survivor/age accessors need no layout
-   branch:
+   words are stored as integer {!Value.t}s, see [put_w] below).  The
+   low 6 bits keep the classic positions so tag/survivor/age accessors
+   need no layout branch:
 
      bits  0-1   tag
      bit   2     survivor
@@ -40,8 +40,8 @@ type layout = Classic | Packed
    or profiling needs per-object ages ({!set_layout}'s [birth] flag); a
    birth-less packed header is a single word.
 
-   NOTE on sign extension: a stored word with meta bit 61 set occupies
-   bit 62 of the OCaml int, so [cells.(off) asr 1] sign-extends.  Every
+   NOTE on sign extension: a meta word with bit 61 set is stored as a
+   negative integer payload, so [get_w] returns it sign-extended.  Every
    top-field extraction therefore masks its result width. *)
 
 let tag_record = 0
@@ -117,11 +117,16 @@ let validate h =
 (* --- cell-array accessors ---
 
    Decoding against an already-resolved block handle ({!Memory.cells}):
-   no per-access block lookup, no [Value.t] boxing.  Header words are
-   stored as encoded integers, so the stored word is [(w lsl 1) lor 1];
-   [asr 1] recovers it (sign-extended — see the note above). *)
+   no per-access block lookup.  A header word [w] uses all 62 payload
+   bits as an unsigned field, so [put_w] folds it into the signed range
+   [Value.of_int] accepts (the stored bits are [(w lsl 1) lor 1] either
+   way) and [get_w] returns it sign-extended (see the note above).  The
+   classic forwarding word is the one pointer a header holds. *)
 
-let word0_c cells ~off = cells.(off) asr 1
+let get_w cells i = Value.to_int cells.(i)
+let put_w cells i w = cells.(i) <- Value.of_int ((w lsl 1) asr 1)
+
+let word0_c cells ~off = get_w cells off
 
 let tag_c cells ~off = word0_c cells ~off land 3
 
@@ -139,24 +144,29 @@ let object_words_c cells ~off = !hw + len_c cells ~off
 
 let mask_c cells ~off =
   if !packed then (word0_c cells ~off lsr packed_mask_shift) land packed_mask_max
-  else (cells.(off + 1) asr 1) lsr 20
+  else get_w cells (off + 1) lsr 20
 
 let site_c cells ~off =
   if !packed then (word0_c cells ~off lsr packed_site_shift) land max_site
-  else (cells.(off + 1) asr 1) land max_site
+  else get_w cells (off + 1) land max_site
 
 let birth_c cells ~off =
   let b = !birth_off in
-  if b < 0 then 0 else cells.(off + b) asr 1
+  if b < 0 then 0 else get_w cells (off + b)
 
 let is_forwarded_c cells ~off = tag_c cells ~off = tag_forwarded
 
-(* classic: the forward word holds [Value.Ptr target], i.e. the raw
-   address shifted left once; packed: the target lives in the meta word *)
+let is_pointer_field_c cells ~off i =
+  let tag = tag_c cells ~off in
+  if tag = tag_record then mask_c cells ~off land (1 lsl i) <> 0
+  else tag = tag_ptr_array
+
+(* classic: word 1 holds [Value.of_addr target]; packed: the target
+   lives in the meta word *)
 let forward_target_c cells ~off =
   if !packed then
     Addr.decode_raw ((word0_c cells ~off lsr fwd_target_shift) land fwd_target_max)
-  else Addr.decode_raw (cells.(off + 1) asr 1)
+  else Value.to_addr cells.(off + 1)
 
 let set_forward_c cells ~off ~target =
   if !packed then begin
@@ -166,15 +176,13 @@ let set_forward_c cells ~off ~target =
       invalid_arg "Header.set_forward_c: length exceeds packed forwarding range";
     if raw < 0 || raw > fwd_target_max then
       invalid_arg "Header.set_forward_c: target exceeds packed forwarding range";
-    cells.(off) <-
-      (((raw lsl fwd_target_shift) lor (len lsl fwd_len_shift) lor tag_forwarded)
-       lsl 1)
-      lor 1
+    put_w cells off
+      ((raw lsl fwd_target_shift) lor (len lsl fwd_len_shift) lor tag_forwarded)
   end
   else begin
     let w0 = word0_c cells ~off in
-    cells.(off) <- (((w0 land lnot 3) lor tag_forwarded) lsl 1) lor 1;
-    cells.(off + 1) <- Addr.encode_raw target lsl 1
+    put_w cells off ((w0 land lnot 3) lor tag_forwarded);
+    cells.(off + 1) <- Value.of_addr target
   end
 
 (* age and survivor sit at the same bit positions in both layouts *)
@@ -182,11 +190,11 @@ let age_c cells ~off = (word0_c cells ~off lsr 3) land 7
 
 let set_age_c cells ~off n =
   let w0 = word0_c cells ~off in
-  cells.(off) <- (((w0 land lnot (7 lsl 3)) lor (n lsl 3)) lsl 1) lor 1
+  put_w cells off ((w0 land lnot (7 lsl 3)) lor (n lsl 3))
 
 let survivor_c cells ~off = word0_c cells ~off land 4 <> 0
 
-let set_survivor_c cells ~off = cells.(off) <- cells.(off) lor (4 lsl 1)
+let set_survivor_c cells ~off = put_w cells off (word0_c cells ~off lor 4)
 
 let write_c cells ~off h ~birth =
   validate h;
@@ -198,7 +206,7 @@ let write_c cells ~off h ~birth =
        | Ptr_array -> tag_ptr_array, h.len lsl packed_len_shift
        | Nonptr_array -> tag_nonptr_array, h.len lsl packed_len_shift
      in
-     cells.(off) <- ((hi lor (h.site lsl packed_site_shift) lor tag) lsl 1) lor 1
+     put_w cells off (hi lor (h.site lsl packed_site_shift) lor tag)
    end
    else begin
      let tag, extra =
@@ -207,11 +215,11 @@ let write_c cells ~off h ~birth =
        | Ptr_array -> tag_ptr_array, 0
        | Nonptr_array -> tag_nonptr_array, 0
      in
-     cells.(off) <- (((h.len lsl 6) lor tag) lsl 1) lor 1;
-     cells.(off + 1) <- (((extra lsl 20) lor h.site) lsl 1) lor 1
+     put_w cells off ((h.len lsl 6) lor tag);
+     put_w cells (off + 1) ((extra lsl 20) lor h.site)
    end);
   let b = !birth_off in
-  if b >= 0 then cells.(off + b) <- (birth lsl 1) lor 1
+  if b >= 0 then put_w cells (off + b) birth
 
 let read_c cells ~off =
   let w0 = word0_c cells ~off in
@@ -232,14 +240,14 @@ let read_c cells ~off =
   end
   else begin
     let len = w0 lsr 6 in
-    let w1 = cells.(off + 1) asr 1 in
+    let w1 = get_w cells (off + 1) in
     let site = w1 land max_site in
     if tag = tag_record then { kind = Record { mask = w1 lsr 20 }; len; site }
     else if tag = tag_ptr_array then { kind = Ptr_array; len; site }
     else { kind = Nonptr_array; len; site }
   end
 
-(* --- safe (boxed) API: the same decodings through a resolved block --- *)
+(* --- safe API: the same decodings through a resolved block --- *)
 
 let write mem base h ~birth =
   write_c (Memory.cells mem base) ~off:(Addr.offset base) h ~birth
@@ -297,18 +305,16 @@ let write_filler_c cells ~off ~words =
   if words < !hw then invalid_arg "Header.write_filler_c";
   let len = words - !hw in
   if !packed then begin
-    cells.(off) <-
-      (((len lsl packed_len_shift) lor (filler_site lsl packed_site_shift)
-        lor tag_nonptr_array)
-       lsl 1)
-      lor 1;
+    put_w cells off
+      ((len lsl packed_len_shift) lor (filler_site lsl packed_site_shift)
+       lor tag_nonptr_array);
     let b = !birth_off in
-    if b >= 0 then cells.(off + b) <- 1 (* birth 0, encoded *)
+    if b >= 0 then put_w cells (off + b) 0
   end
   else begin
-    cells.(off) <- (((len lsl 6) lor tag_nonptr_array) lsl 1) lor 1;
-    cells.(off + 1) <- (filler_site lsl 1) lor 1;
-    cells.(off + 2) <- 1 (* birth 0, encoded *)
+    put_w cells off ((len lsl 6) lor tag_nonptr_array);
+    put_w cells (off + 1) filler_site;
+    put_w cells (off + 2) 0
   end
 
 let pp fmt h =

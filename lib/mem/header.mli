@@ -142,44 +142,49 @@ val tag_ptr_array : int
 val tag_nonptr_array : int
 val tag_forwarded : int
 
-val tag_c : int array -> off:int -> int
+val tag_c : Value.t array -> off:int -> int
 
 (** [len_c] is valid on forwarded objects too (both layouts keep the
     length readable so corpses stay walkable). *)
-val len_c : int array -> off:int -> int
+val len_c : Value.t array -> off:int -> int
 
 (** [object_words_c] is valid on forwarded objects too, like
     {!object_words_at}. *)
-val object_words_c : int array -> off:int -> int
+val object_words_c : Value.t array -> off:int -> int
 
 (** [mask_c]/[site_c]/[birth_c] are meaningful only on non-forwarded
     objects ([mask_c] additionally only on records; [birth_c] is 0 when
     the layout drops the birth word). *)
-val mask_c : int array -> off:int -> int
+val mask_c : Value.t array -> off:int -> int
 
-val site_c : int array -> off:int -> int
-val birth_c : int array -> off:int -> int
-val is_forwarded_c : int array -> off:int -> bool
+val site_c : Value.t array -> off:int -> int
+val birth_c : Value.t array -> off:int -> int
+val is_forwarded_c : Value.t array -> off:int -> bool
+
+(** [is_pointer_field_c cells ~off i] tells whether payload slot [i] of a
+    non-forwarded object must be traced, like {!is_pointer_field} but
+    without the range check. *)
+val is_pointer_field_c : Value.t array -> off:int -> int -> bool
 
 (** [forward_target_c] is meaningful only when [is_forwarded_c]. *)
-val forward_target_c : int array -> off:int -> Addr.t
+val forward_target_c : Value.t array -> off:int -> Addr.t
 
-val set_forward_c : int array -> off:int -> target:Addr.t -> unit
-val age_c : int array -> off:int -> int
+val set_forward_c : Value.t array -> off:int -> target:Addr.t -> unit
+val age_c : Value.t array -> off:int -> int
 
 (** [set_age_c] does not range-check; callers clamp to {!max_age}. *)
-val set_age_c : int array -> off:int -> int -> unit
+val set_age_c : Value.t array -> off:int -> int -> unit
 
-val survivor_c : int array -> off:int -> bool
-val set_survivor_c : int array -> off:int -> unit
+val survivor_c : Value.t array -> off:int -> bool
+val set_survivor_c : Value.t array -> off:int -> unit
 
 (** [write_c cells ~off h ~birth] stores the header through a resolved
     block handle (the cell twin of {!write}). *)
-val write_c : int array -> off:int -> t -> birth:int -> unit
+val write_c : Value.t array -> off:int -> t -> birth:int -> unit
 
 (** [read_c cells ~off] decodes a full header record.
     @raise Invalid_argument if the object is forwarded. *)
-val read_c : int array -> off:int -> t
+val read_c : Value.t array -> off:int -> t
 
 (** {2 Filler pseudo-objects}
 
@@ -194,9 +199,9 @@ val read_c : int array -> off:int -> t
 (** The reserved allocation-site id that marks fillers. *)
 val filler_site : int
 
-val is_filler_c : int array -> off:int -> bool
+val is_filler_c : Value.t array -> off:int -> bool
 
 (** [write_filler_c cells ~off ~words] writes a filler spanning exactly
     [words] cells ([words >= header_words ()] — under the birth-less
     Packed layout a filler can be a single word). *)
-val write_filler_c : int array -> off:int -> words:int -> unit
+val write_filler_c : Value.t array -> off:int -> words:int -> unit

@@ -1,8 +1,8 @@
-(* Cells are stored in [int array]s using {!Value.encode}, so a simulated
-   word costs exactly one unboxed host word. *)
+(* A [Value.t] is an immediate host int, so a simulated word costs
+   exactly one unboxed host word in a cell array. *)
 
 type block = {
-  mutable cells : int array option; (* [None] once freed *)
+  mutable cells : Value.t array option; (* [None] once freed *)
   mutable freed_at : int;           (* event stamp of the last free *)
 }
 
@@ -13,8 +13,6 @@ type t = {
   mutable events : int;             (* alloc/free event counter *)
 }
 
-let zero_cell = Value.encode Value.zero
-
 let create () =
   { blocks = Support.Vec.create ();
     free_ids = Support.Vec.create ();
@@ -24,7 +22,7 @@ let create () =
 let alloc_block t ~words =
   if words <= 0 then invalid_arg "Memory.alloc_block";
   t.events <- t.events + 1;
-  let cells = Some (Array.make words zero_cell) in
+  let cells = Some (Array.make words Value.zero) in
   let id =
     if Support.Vec.is_empty t.free_ids then begin
       Support.Vec.push t.blocks { cells; freed_at = -1 };
@@ -72,15 +70,7 @@ let get t addr =
   let cells = find t addr in
   let off = Addr.offset addr in
   if off >= Array.length cells then invalid_arg "Memory.get: offset out of block";
-  Value.decode cells.(off)
-
-(* Raw fast paths: same block resolution and bounds enforcement (the
-   array access itself is checked), but the cell travels as an encoded
-   int, so nothing is boxed. *)
-
-let get_raw t addr = (find t addr).(Addr.offset addr)
-
-let set_raw t addr w = (find t addr).(Addr.offset addr) <- w
+  cells.(off)
 
 let cells = find
 
@@ -88,7 +78,7 @@ let set t addr v =
   let cells = find t addr in
   let off = Addr.offset addr in
   if off >= Array.length cells then invalid_arg "Memory.set: offset out of block";
-  cells.(off) <- Value.encode v
+  cells.(off) <- v
 
 let blit t ~src ~dst ~words =
   let scells = find t src and dcells = find t dst in
@@ -101,7 +91,7 @@ let fill t ~dst ~words v =
   let cells = find t dst in
   let off = Addr.offset dst in
   if off + words > Array.length cells then invalid_arg "Memory.fill: out of range";
-  Array.fill cells off words (Value.encode v)
+  Array.fill cells off words v
 
 let allocated_words t = t.allocated
 

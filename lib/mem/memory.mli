@@ -27,31 +27,16 @@ val live_block : t -> Addr.t -> bool
 val get : t -> Addr.t -> Value.t
 val set : t -> Addr.t -> Value.t -> unit
 
-(** {2 Raw fast paths}
-
-    The collector hot loops pay for [get]/[set] twice: every call
-    re-resolves the block and boxes a {!Value.t}.  The raw API removes
-    both costs while keeping the failure modes: a freed or unknown block
-    still raises through the block lookup, and an out-of-block offset
-    still raises through the array bounds check (with a generic message).
-    See [DESIGN.md], "Hot-path architecture", for when code must use
-    which tier. *)
-
-(** [get_raw t addr] is [Value.encode (get t addr)] without the boxing. *)
-val get_raw : t -> Addr.t -> int
-
-(** [set_raw t addr w] stores the already-encoded word [w]. *)
-val set_raw : t -> Addr.t -> int -> unit
-
 (** [cells t addr] is the backing cell array of the block containing
-    [addr]: a per-block handle that lets an object scan resolve its block
-    once instead of per field.  Cells hold {!Value.encode}d words and are
-    indexed by {!Addr.offset}.  The handle stays valid until the block is
-    freed; a stale handle silently aliases nothing (the array is
-    unreachable from [t] after the free), so holders must not outlive the
-    block — collectors drop their handles at the end of each collection.
+    [addr]: a per-block handle that lets an object scan (or a runtime
+    field access) resolve its block once instead of per word.  Cells are
+    indexed by {!Addr.offset}; out-of-block indexes raise through the
+    array bounds check (with a generic message).  The handle stays valid
+    until the block is freed; a stale handle silently aliases nothing
+    (the array is unreachable from [t] after the free), so holders must
+    not outlive the block — collectors drop their handles at the end of each collection.
     @raise Invalid_argument on a freed or unknown block. *)
-val cells : t -> Addr.t -> int array
+val cells : t -> Addr.t -> Value.t array
 
 (** [blit t ~src ~dst ~words] copies [words] words; source and destination
     may live in different blocks but must not overlap within one block. *)

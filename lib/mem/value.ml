@@ -1,55 +1,30 @@
-type t =
-  | Int of int
-  | Ptr of Addr.t
+type t = int
 
-let null = Ptr Addr.null
-let zero = Int 0
+let of_int n =
+  let w = (n lsl 1) lor 1 in
+  if w asr 1 <> n then invalid_arg "Value.of_int: integer outside the 62-bit payload";
+  w
 
-let is_ptr = function
-  | Ptr a -> not (Addr.is_null a)
-  | Int _ -> false
+let of_addr a = Addr.encode_raw a lsl 1
 
-let to_addr = function
-  | Ptr a when not (Addr.is_null a) -> a
-  | Ptr _ -> invalid_arg "Value.to_addr: null pointer"
-  | Int _ -> invalid_arg "Value.to_addr: integer"
+let null = of_addr Addr.null
+let zero = of_int 0
 
-let to_int = function
-  | Int n -> n
-  | Ptr _ -> invalid_arg "Value.to_int: pointer"
+let is_int w = w land 1 = 1
+let is_ptr w = w land 1 = 0 && w <> null
+let is_null w = w = null
 
-let equal a b =
-  match a, b with
-  | Int x, Int y -> x = y
-  | Ptr x, Ptr y -> Addr.equal x y
-  | Int _, Ptr _ | Ptr _, Int _ -> false
+let to_int w =
+  if w land 1 = 0 then invalid_arg "Value.to_int: pointer";
+  w asr 1
 
-let pp fmt = function
-  | Int n -> Format.fprintf fmt "i%d" n
-  | Ptr a -> Format.fprintf fmt "p%a" Addr.pp a
+let to_addr w =
+  if w land 1 = 1 then invalid_arg "Value.to_addr: integer";
+  if w = null then invalid_arg "Value.to_addr: null pointer";
+  Addr.decode_raw (w asr 1)
 
-let encode = function
-  | Int n -> (n lsl 1) lor 1
-  | Ptr a -> Addr.encode_raw a lsl 1
+let equal = Int.equal
 
-let decode w =
-  if w land 1 = 1 then Int (w asr 1) else Ptr (Addr.decode_raw (w asr 1))
-
-(* Raw-word views of the packed encoding, for the collector fast paths:
-   each predicate/projection is a couple of integer ops with no
-   allocation. *)
-
-let encoded_zero = encode zero
-let encoded_null = encode null
-
-let encoded_is_int w = w land 1 = 1
-
-let encoded_is_ptr w = w land 1 = 0 && w <> encoded_null
-
-let encoded_to_int w = w asr 1
-
-let encoded_to_addr w = Addr.decode_raw (w asr 1)
-
-let encode_int n = (n lsl 1) lor 1
-
-let encode_addr a = Addr.encode_raw a lsl 1
+let pp fmt w =
+  if is_int w then Format.fprintf fmt "i%d" (w asr 1)
+  else Format.fprintf fmt "p%a" Addr.pp (Addr.decode_raw (w asr 1))

@@ -15,7 +15,8 @@ type t = {
   mutable marked : bool;       (** a stack-marker stub is installed *)
 }
 
-(** [create ~key ~size ~serial] makes a frame with all slots [Int 0]. *)
+(** [create ~key ~size ~serial] makes a frame with every slot
+    [Value.zero]. *)
 val create : key:int -> size:int -> serial:int -> t
 
 val get : t -> int -> Mem.Value.t

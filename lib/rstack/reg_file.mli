@@ -10,6 +10,6 @@ val get : t -> int -> Mem.Value.t
 
 val set : t -> int -> Mem.Value.t -> unit
 
-(** [clear t] resets every register to [Int 0] (e.g. between workload
+(** [clear t] resets every register to [Value.zero] (e.g. between workload
     runs). *)
 val clear : t -> unit

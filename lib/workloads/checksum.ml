@@ -39,11 +39,11 @@ let run rt ~scale =
       R.store_field rt ~obj:(R.Slot 0) ~idx:i
         (R.I (R.Imm (Support.Prng.int prng 65536)))
     done;
-    R.set_slot rt 1 (Mem.Value.Int 0);
+    R.set_slot rt 1 (Mem.Value.of_int 0);
     for _ = 1 to scale do
       let pass_sum =
         R.call rt ~key:k_iter
-          ~args:[ R.get_slot rt 0; Mem.Value.null; Mem.Value.Int 0 ]
+          ~args:[ R.get_slot rt 0; Mem.Value.null; Mem.Value.of_int 0 ]
           (fun () ->
             (* boxed accumulator: a fresh record per element, exactly the
                short-lived allocation the paper's iterators produce *)
@@ -63,7 +63,7 @@ let run rt ~scale =
             R.field_int rt ~obj:(R.Slot 1) ~idx:0)
       in
       let outer = Mem.Value.to_int (R.get_slot rt 1) in
-      R.set_slot rt 1 (Mem.Value.Int ((outer + pass_sum) land 0xFFFF))
+      R.set_slot rt 1 (Mem.Value.of_int ((outer + pass_sum) land 0xFFFF))
     done;
     let got = Mem.Value.to_int (R.get_slot rt 1) in
     let want = expected_checksum ~iters:scale in

@@ -89,10 +89,10 @@ let semispace_collect_preserves_graph () =
   let mem, s = semi globals in
   (* a two-node cycle-free chain: g0 -> a -> b *)
   let b = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr b 0) (V.Int 77);
+  Mem.Memory.set mem (H.field_addr b 0) (V.of_int 77);
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
-  globals.(0) <- V.Ptr a;
+  Mem.Memory.set mem (H.field_addr a 0) (V.of_addr b);
+  globals.(0) <- V.of_addr a;
   Collectors.Semispace.collect s;
   (* everything moved; the graph must survive *)
   let a' = V.to_addr globals.(0) in
@@ -115,9 +115,9 @@ let semispace_sharing_preserved () =
   let globals = Array.make 2 V.zero in
   let mem, s = semi globals in
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr a 0) (V.Int 5);
-  globals.(0) <- V.Ptr a;
-  globals.(1) <- V.Ptr a;
+  Mem.Memory.set mem (H.field_addr a 0) (V.of_int 5);
+  globals.(0) <- V.of_addr a;
+  globals.(1) <- V.of_addr a;
   Collectors.Semispace.collect s;
   check_bool "still aliased" true (V.equal globals.(0) globals.(1))
 
@@ -127,9 +127,9 @@ let semispace_cycle () =
   let mem, s = semi globals in
   let a = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
   let b = Collectors.Semispace.alloc s (record_hdr ~mask:1 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr a 0) (V.Ptr b);
-  Mem.Memory.set mem (H.field_addr b 0) (V.Ptr a);
-  globals.(0) <- V.Ptr a;
+  Mem.Memory.set mem (H.field_addr a 0) (V.of_addr b);
+  Mem.Memory.set mem (H.field_addr b 0) (V.of_addr a);
+  globals.(0) <- V.of_addr a;
   Collectors.Semispace.collect s;
   let a' = V.to_addr globals.(0) in
   let b' = V.to_addr (Mem.Memory.get mem (H.field_addr a' 0)) in
@@ -144,7 +144,7 @@ let semispace_budget_failure () =
   match
     for i = 0 to 63 do
       let a = Collectors.Semispace.alloc s { H.kind = H.Nonptr_array; len = 16; site = 0 } ~birth:0 in
-      globals.(i) <- V.Ptr a
+      globals.(i) <- V.of_addr a
     done
   with
   | () -> Alcotest.fail "expected budget failure"
@@ -179,8 +179,8 @@ let gen_promotion () =
   let globals = Array.make 1 V.zero in
   let mem, g, stats = gen globals in
   let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr a 0) (V.Int 9);
-  globals.(0) <- V.Ptr a;
+  Mem.Memory.set mem (H.field_addr a 0) (V.of_int 9);
+  globals.(0) <- V.of_addr a;
   check_bool "starts in nursery" true (Collectors.Generational.in_nursery g a);
   Collectors.Generational.minor g;
   let a' = V.to_addr globals.(0) in
@@ -196,15 +196,15 @@ let gen_write_barrier () =
   let globals = Array.make 1 V.zero in
   let mem, g, _stats = gen globals in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.of_addr holder;
   Collectors.Generational.minor g;
   let holder = V.to_addr globals.(0) in
   check_bool "holder tenured" true (Collectors.Generational.in_tenured g holder);
   (* young object reachable only through the mutated tenured field *)
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr young 0) (V.Int 123);
+  Mem.Memory.set mem (H.field_addr young 0) (V.of_int 123);
   let loc = H.field_addr holder 0 in
-  Mem.Memory.set mem loc (V.Ptr young);
+  Mem.Memory.set mem loc (V.of_addr young);
   Collectors.Generational.record_update g ~obj:holder ~loc;
   Collectors.Generational.minor g;
   let young' = V.to_addr (Mem.Memory.get mem (H.field_addr holder 0)) in
@@ -219,11 +219,11 @@ let gen_missing_barrier_loses_object () =
   let globals = Array.make 1 V.zero in
   let mem, g, _ = gen globals in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.of_addr holder;
   Collectors.Generational.minor g;
   let holder = V.to_addr globals.(0) in
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr young);
+  Mem.Memory.set mem (H.field_addr holder 0) (V.of_addr young);
   (* no record_update *)
   Collectors.Generational.minor g;
   (* the field still holds the stale nursery address (nursery was reset):
@@ -231,7 +231,7 @@ let gen_missing_barrier_loses_object () =
      exists.  We can only check that the object was not promoted. *)
   let v = Mem.Memory.get mem (H.field_addr holder 0) in
   check_bool "field not redirected (object lost)" true
-    (V.equal v (V.Ptr young))
+    (V.equal v (V.of_addr young))
 
 let gen_large_object_space () =
   let globals = Array.make 1 V.zero in
@@ -242,10 +242,10 @@ let gen_large_object_space () =
   in
   check_bool "not in nursery" false (Collectors.Generational.in_nursery g big);
   check_bool "not in tenured" false (Collectors.Generational.in_tenured g big);
-  globals.(0) <- V.Ptr big;
+  globals.(0) <- V.of_addr big;
   Collectors.Generational.full g;
   (* large objects are marked, not copied *)
-  check_bool "address stable" true (V.equal globals.(0) (V.Ptr big));
+  check_bool "address stable" true (V.equal globals.(0) (V.of_addr big));
   (* drop it: the next full collection sweeps it *)
   globals.(0) <- V.zero;
   let live_before = Collectors.Generational.live_words g in
@@ -259,12 +259,12 @@ let gen_pretenured_region_scan () =
   let globals = Array.make 1 V.zero in
   let mem, g, stats = gen globals in
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr young 0) (V.Int 55);
+  Mem.Memory.set mem (H.field_addr young 0) (V.of_int 55);
   let old_obj =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
-  Mem.Memory.set mem (H.field_addr old_obj 0) (V.Ptr young);
-  globals.(0) <- V.Ptr old_obj;
+  Mem.Memory.set mem (H.field_addr old_obj 0) (V.of_addr young);
+  globals.(0) <- V.of_addr old_obj;
   check_bool "pretenured in tenured" true
     (Collectors.Generational.in_tenured g old_obj);
   Collectors.Generational.minor g;
@@ -293,7 +293,7 @@ let gen_scan_elision_skips () =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 ~site:7 1)
       ~birth:0
   in
-  globals.(0) <- V.Ptr old_obj;
+  globals.(0) <- V.of_addr old_obj;
   Collectors.Generational.minor g;
   check_int "region words skipped" 4 stats.Collectors.Gc_stats.words_region_skipped;
   check_int "none scanned" 0 stats.Collectors.Gc_stats.words_region_scanned
@@ -307,19 +307,20 @@ let gen_survives_many_collections () =
     let keep = Support.Prng.int prng 10 = 0 in
     let hdr = record_hdr ~mask:2 2 in
     let a = Collectors.Generational.alloc g hdr ~birth:0 in
-    Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+    Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
     Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-    if keep then globals.(0) <- V.Ptr a
+    if keep then globals.(0) <- V.of_addr a
   done;
   check_bool "many gcs" true (stats.Collectors.Gc_stats.minor_gcs > 5);
   (* walk the list and verify the kept values are descending *)
   let rec walk v last count =
-    match v with
-    | V.Ptr a when not (Mem.Addr.is_null a) ->
+    if V.is_ptr v then begin
+      let a = V.to_addr v in
       let x = V.to_int (Mem.Memory.get mem (H.field_addr a 0)) in
       check_bool "descending" true (x < last);
       walk (Mem.Memory.get mem (H.field_addr a 1)) x (count + 1)
-    | V.Ptr _ | V.Int _ -> count
+    end
+    else count
   in
   let n = walk globals.(0) max_int 0 in
   check_bool "kept a sensible number" true (n > 200 && n < 400)
@@ -355,13 +356,13 @@ let card_barrier_keeps_edge () =
   let globals = Array.make 1 V.zero in
   let mem, g, _ = gen ~barrier:Collectors.Generational.Barrier_cards globals in
   let holder = Collectors.Generational.alloc g (record_hdr ~mask:1 1) ~birth:0 in
-  globals.(0) <- V.Ptr holder;
+  globals.(0) <- V.of_addr holder;
   Collectors.Generational.minor g;
   let holder = V.to_addr globals.(0) in
   let young = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr young 0) (V.Int 321);
+  Mem.Memory.set mem (H.field_addr young 0) (V.of_int 321);
   let loc = H.field_addr holder 0 in
-  Mem.Memory.set mem loc (V.Ptr young);
+  Mem.Memory.set mem loc (V.of_addr young);
   Collectors.Generational.record_update g ~obj:holder ~loc;
   Collectors.Generational.minor g;
   let young' = V.to_addr (Mem.Memory.get mem (H.field_addr holder 0)) in
@@ -375,8 +376,8 @@ let aging_nursery_delays_promotion () =
   let globals = Array.make 1 V.zero in
   let mem, g, stats = gen ~threshold:3 globals in
   let a = Collectors.Generational.alloc g (record_hdr ~mask:0 1) ~birth:0 in
-  Mem.Memory.set mem (H.field_addr a 0) (V.Int 31);
-  globals.(0) <- V.Ptr a;
+  Mem.Memory.set mem (H.field_addr a 0) (V.of_int 31);
+  globals.(0) <- V.of_addr a;
   (* two minors: survives in the nursery, aging *)
   Collectors.Generational.minor g;
   let a1 = V.to_addr globals.(0) in
@@ -406,9 +407,9 @@ let aging_copies_more_than_immediate () =
     let mem, g, stats = gen ~threshold globals in
     for i = 1 to 400 do
       let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:0 in
-      Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+      Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
       Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      globals.(0) <- V.Ptr a
+      globals.(0) <- V.of_addr a
     done;
     stats.Collectors.Gc_stats.words_copied
   in
@@ -427,8 +428,8 @@ let pretenured_to_los_edge () =
   let holder =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1) ~birth:0
   in
-  Mem.Memory.set mem (H.field_addr holder 0) (V.Ptr big);
-  globals.(0) <- V.Ptr holder;
+  Mem.Memory.set mem (H.field_addr holder 0) (V.of_addr big);
+  globals.(0) <- V.of_addr holder;
   Collectors.Generational.full g;
   (* the large object survived because the tenured record references it *)
   let holder = V.to_addr globals.(0) in
@@ -486,17 +487,17 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
   for i = 1 to 2500 do
     let keep = Support.Prng.int prng 10 = 0 in
     let a = Collectors.Generational.alloc g (record_hdr ~mask:2 2) ~birth:i in
-    Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+    Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
     Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-    if keep then globals.(0) <- V.Ptr a;
+    if keep then globals.(0) <- V.of_addr a;
     (* barriered old->young store into a pretenured holder *)
-    (if i mod 7 = 3 then
-       match globals.(2) with
-       | V.Ptr holder when Collectors.Generational.in_tenured g holder ->
+    (if i mod 7 = 3 && V.is_ptr globals.(2) then
+       let holder = V.to_addr globals.(2) in
+       if Collectors.Generational.in_tenured g holder then begin
          let loc = H.field_addr holder 0 in
-         Mem.Memory.set mem loc (V.Ptr a);
+         Mem.Memory.set mem loc (V.of_addr a);
          Collectors.Generational.record_update g ~obj:holder ~loc
-       | V.Ptr _ | V.Int _ -> ());
+       end);
     if i mod 97 = 0 then begin
       let p =
         Collectors.Generational.alloc_pretenured g (record_hdr ~mask:1 1)
@@ -504,23 +505,24 @@ let run_gen_workload ?(parallelism = 1) ?mode ?(budget = 256 * 1024)
       in
       Mem.Memory.set mem (H.field_addr p 0) globals.(0);
       Collectors.Generational.record_update g ~obj:p ~loc:(H.field_addr p 0);
-      globals.(2) <- V.Ptr p
+      globals.(2) <- V.of_addr p
     end;
     if i mod 501 = 0 then
       globals.(3) <-
-        V.Ptr
+        V.of_addr
           (Collectors.Generational.alloc g
              { H.kind = H.Ptr_array; len = 600; site = 4 }
              ~birth:i)
   done;
   Collectors.Generational.full g;
   let rec fingerprint v acc =
-    match v with
-    | V.Ptr a when not (Mem.Addr.is_null a) ->
+    if V.is_ptr v then begin
+      let a = V.to_addr v in
       fingerprint
         (Mem.Memory.get mem (H.field_addr a 1))
         (V.to_int (Mem.Memory.get mem (H.field_addr a 0)) :: acc)
-    | V.Ptr _ | V.Int _ -> acc
+    end
+    else acc
   in
   (counters stats, fingerprint globals.(0) [])
 
@@ -555,9 +557,9 @@ let safe_raw_identical_semispace () =
     let mem, s = semi ~budget:(64 * 1024) globals in
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
-      Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+      Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
       Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      if i mod 5 = 0 then globals.(0) <- V.of_addr a
     done;
     Collectors.Semispace.collect s;
     (counters (Collectors.Semispace.stats s), Collectors.Semispace.live_words s)
@@ -616,9 +618,9 @@ let par_seq_identical_semispace () =
     in
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
-      Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+      Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
       Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      if i mod 5 = 0 then globals.(0) <- V.of_addr a
     done;
     Collectors.Semispace.collect s;
     (counters stats, Collectors.Semispace.live_words s)
@@ -689,9 +691,9 @@ let real_seq_identical_semispace () =
     in
     for i = 1 to 800 do
       let a = Collectors.Semispace.alloc s (record_hdr ~mask:2 2) ~birth:i in
-      Mem.Memory.set mem (H.field_addr a 0) (V.Int i);
+      Mem.Memory.set mem (H.field_addr a 0) (V.of_int i);
       Mem.Memory.set mem (H.field_addr a 1) globals.(0);
-      if i mod 5 = 0 then globals.(0) <- V.Ptr a
+      if i mod 5 = 0 then globals.(0) <- V.of_addr a
     done;
     Collectors.Semispace.collect s;
     (counters stats, Collectors.Semispace.live_words s)
@@ -1258,8 +1260,8 @@ let ms_reclaims_and_reuses_holes () =
   let keep =
     Collectors.Generational.alloc_pretenured g (record_hdr ~mask:0 1) ~birth:0
   in
-  Mem.Memory.set mem (H.field_addr keep 0) (V.Int 77);
-  globals.(0) <- V.Ptr keep;
+  Mem.Memory.set mem (H.field_addr keep 0) (V.of_int 77);
+  globals.(0) <- V.of_addr keep;
   (* a batch of doomed pretenured records: never rooted, they die at the
      first major and must come back as holes *)
   for i = 1 to 60 do
@@ -1274,7 +1276,7 @@ let ms_reclaims_and_reuses_holes () =
   check_bool "holes visible in the gauges" true
     (stats.Collectors.Gc_stats.tenured_free_words > 0);
   check_bool "survivor address stable" true
-    (V.equal globals.(0) (V.Ptr keep));
+    (V.equal globals.(0) (V.of_addr keep));
   check_int "survivor intact" 77
     (V.to_int (Mem.Memory.get mem (H.field_addr keep 0)));
   let free_before = stats.Collectors.Gc_stats.tenured_free_words in
@@ -1285,7 +1287,7 @@ let ms_reclaims_and_reuses_holes () =
       Collectors.Generational.alloc_pretenured g
         (record_hdr ~site:2 ~mask:0 2) ~birth:(100 + i)
     in
-    globals.(1) <- V.Ptr p
+    globals.(1) <- V.of_addr p
   done;
   (* an empty-nursery minor only resamples the gauges *)
   Collectors.Generational.minor g;
@@ -1313,30 +1315,30 @@ let ms_sweep_safety_prop =
         | None -> QCheck.assume_fail ()
         | Some a ->
           H.write mem a (record_hdr ~mask:0b110 3) ~birth:0;
-          Mem.Memory.set mem (H.field_addr a 0) (V.Int (i * 31));
+          Mem.Memory.set mem (H.field_addr a 0) (V.of_int (i * 31));
           let pick () =
             if i = 0 || Support.Prng.bool prng then V.null
-            else V.Ptr objs.(Support.Prng.int prng i)
+            else V.of_addr objs.(Support.Prng.int prng i)
           in
           Mem.Memory.set mem (H.field_addr a 1) (pick ());
           Mem.Memory.set mem (H.field_addr a 2) (pick ());
           objs.(i) <- a
       done;
-      let roots = Array.init 4 (fun _ -> V.Ptr objs.(Support.Prng.int prng n)) in
+      let roots = Array.init 4 (fun _ -> V.of_addr objs.(Support.Prng.int prng n)) in
       let snapshot () =
         let seen = Hashtbl.create 64 in
         let words = ref 0 and acc = ref [] in
         let rec go v =
-          match v with
-          | V.Int _ -> ()
-          | V.Ptr a ->
-            if (not (Mem.Addr.is_null a)) && not (Hashtbl.mem seen a) then begin
+          if V.is_ptr v then begin
+            let a = V.to_addr v in
+            if not (Hashtbl.mem seen a) then begin
               Hashtbl.replace seen a ();
               words := !words + (H.header_words ()) + 3;
               acc := V.to_int (Mem.Memory.get mem (H.field_addr a 0)) :: !acc;
               go (Mem.Memory.get mem (H.field_addr a 1));
               go (Mem.Memory.get mem (H.field_addr a 2))
             end
+          end
         in
         Array.iter go roots;
         (!words, List.sort compare !acc)
@@ -1420,30 +1422,30 @@ let par_drain_no_double_copy ~mode (n, seed, parallelism, grain) =
           | None -> QCheck.assume_fail ()
         in
         H.write mem a (record_hdr ~mask:0b110 3) ~birth:0;
-        Mem.Memory.set mem (H.field_addr a 0) (V.Int (i * 17));
+        Mem.Memory.set mem (H.field_addr a 0) (V.of_int (i * 17));
         let pick () =
           if i = 0 || Support.Prng.bool prng then V.null
-          else V.Ptr objs.(Support.Prng.int prng i)
+          else V.of_addr objs.(Support.Prng.int prng i)
         in
         Mem.Memory.set mem (H.field_addr a 1) (pick ());
         Mem.Memory.set mem (H.field_addr a 2) (pick ());
         objs.(i) <- a
       done;
-      let globals = Array.init 4 (fun _ -> V.Ptr objs.(Support.Prng.int prng n)) in
+      let globals = Array.init 4 (fun _ -> V.of_addr objs.(Support.Prng.int prng n)) in
       let snapshot () =
         let seen = Hashtbl.create 64 in
         let words = ref 0 and acc = ref [] in
         let rec go v =
-          match v with
-          | V.Int _ -> ()
-          | V.Ptr a ->
-            if (not (Mem.Addr.is_null a)) && not (Hashtbl.mem seen a) then begin
+          if V.is_ptr v then begin
+            let a = V.to_addr v in
+            if not (Hashtbl.mem seen a) then begin
               Hashtbl.replace seen a ();
               words := !words + (H.header_words ()) + 3;
               acc := V.to_int (Mem.Memory.get mem (H.field_addr a 0)) :: !acc;
               go (Mem.Memory.get mem (H.field_addr a 1));
               go (Mem.Memory.get mem (H.field_addr a 2))
             end
+          end
         in
         Array.iter go globals;
         (!words, List.sort compare !acc)
@@ -1496,23 +1498,23 @@ let golden_virtual_drain ~parallelism =
   let rec node d =
     let child () =
       if d = 0 then V.null
-      else if Support.Prng.int prng 4 > 0 then V.Ptr (node (d - 1))
+      else if Support.Prng.int prng 4 > 0 then V.of_addr (node (d - 1))
       else if Support.Vec.is_empty objs then V.null
       else
-        V.Ptr (Support.Vec.get objs (Support.Prng.int prng (Support.Vec.length objs)))
+        V.of_addr (Support.Vec.get objs (Support.Prng.int prng (Support.Vec.length objs)))
     in
     let l = child () in
     let r = child () in
     let a = Option.get (Mem.Space.alloc from ((H.header_words ()) + 3)) in
     H.write mem a (record_hdr ~mask:0b110 3) ~birth:0;
-    Mem.Memory.set mem (H.field_addr a 0) (V.Int (Support.Vec.length objs));
+    Mem.Memory.set mem (H.field_addr a 0) (V.of_int (Support.Vec.length objs));
     Mem.Memory.set mem (H.field_addr a 1) l;
     Mem.Memory.set mem (H.field_addr a 2) r;
     Support.Vec.push objs a;
     a
   in
   let globals =
-    Array.init 16 (fun _ -> V.Ptr (node (3 + Support.Prng.int prng 6)))
+    Array.init 16 (fun _ -> V.of_addr (node (3 + Support.Prng.int prng 6)))
   in
   let live = Mem.Space.used_words from in
   let to_space =
@@ -1638,32 +1640,32 @@ let graph_roundtrip_prop =
       let objs = Array.make n Mem.Addr.null in
       for i = 0 to n - 1 do
         let a = Collectors.Semispace.alloc s (record_hdr ~mask:0b110 3) ~birth:0 in
-        Mem.Memory.set mem (H.field_addr a 0) (V.Int (i * 17));
+        Mem.Memory.set mem (H.field_addr a 0) (V.of_int (i * 17));
         let pick () =
           if i = 0 || Support.Prng.bool prng then V.null
-          else V.Ptr objs.(Support.Prng.int prng i)
+          else V.of_addr objs.(Support.Prng.int prng i)
         in
         Mem.Memory.set mem (H.field_addr a 1) (pick ());
         Mem.Memory.set mem (H.field_addr a 2) (pick ());
         objs.(i) <- a
       done;
       for r = 0 to 3 do
-        globals.(r) <- V.Ptr objs.(Support.Prng.int prng n)
+        globals.(r) <- V.of_addr objs.(Support.Prng.int prng n)
       done;
       (* snapshot reachable payloads (sorted multiset) *)
       let snapshot () =
         let seen = Hashtbl.create 64 in
         let acc = ref [] in
         let rec go v =
-          match v with
-          | V.Int _ -> ()
-          | V.Ptr a ->
-            if (not (Mem.Addr.is_null a)) && not (Hashtbl.mem seen a) then begin
+          if V.is_ptr v then begin
+            let a = V.to_addr v in
+            if not (Hashtbl.mem seen a) then begin
               Hashtbl.replace seen a ();
               acc := V.to_int (Mem.Memory.get mem (H.field_addr a 0)) :: !acc;
               go (Mem.Memory.get mem (H.field_addr a 1));
               go (Mem.Memory.get mem (H.field_addr a 2))
             end
+          end
         in
         Array.iter go globals;
         List.sort compare !acc

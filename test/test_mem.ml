@@ -46,22 +46,63 @@ let addr_invalid () =
            (Mem.Addr.make ~block:0 ~offset:0)
            (Mem.Addr.make ~block:1 ~offset:0)))
 
-(* --- Value encoding --- *)
+(* --- Value words --- *)
 
-let value_roundtrip_prop =
-  QCheck.Test.make ~name:"value encode/decode roundtrip" ~count:500
+let payload_min = -(1 lsl 61)
+let payload_max = (1 lsl 61) - 1
+
+(* a word is exactly one of: integer, null, non-null pointer *)
+let one_class v =
+  List.length
+    (List.filter Fun.id
+       [ Mem.Value.is_int v; Mem.Value.is_null v; Mem.Value.is_ptr v ])
+  = 1
+
+let value_int_roundtrip_prop =
+  QCheck.Test.make ~name:"value of_int/to_int roundtrip" ~count:500
     QCheck.(
       oneof
-        [ map (fun n -> Mem.Value.Int n) (int_range (-1000000000) 1000000000);
-          map
-            (fun (b, o) -> Mem.Value.Ptr (Mem.Addr.make ~block:b ~offset:o))
-            (pair (int_range 0 1000) (int_range 0 100000)) ])
-    (fun v -> Mem.Value.equal v (Mem.Value.decode (Mem.Value.encode v)))
+        [ int_range (-1000000000) 1000000000;
+          int_range payload_min payload_max;
+          oneofl [ payload_min; payload_max; 0; -1 ] ])
+    (fun n ->
+      let v = Mem.Value.of_int n in
+      Mem.Value.to_int v = n && Mem.Value.is_int v && one_class v)
+
+let value_addr_roundtrip_prop =
+  QCheck.Test.make ~name:"value of_addr/to_addr roundtrip" ~count:500
+    QCheck.(pair (int_range 0 1000) (int_range 0 100000))
+    (fun (b, o) ->
+      let a = Mem.Addr.make ~block:b ~offset:o in
+      let v = Mem.Value.of_addr a in
+      Mem.Addr.equal (Mem.Value.to_addr v) a && Mem.Value.is_ptr v && one_class v)
 
 let value_null_roundtrip () =
-  check_bool "null roundtrip" true
-    (Mem.Value.equal Mem.Value.null
-       (Mem.Value.decode (Mem.Value.encode Mem.Value.null)))
+  check_bool "null is of_addr null" true
+    (Mem.Value.equal Mem.Value.null (Mem.Value.of_addr Mem.Addr.null));
+  check_bool "null classifies as null only" true
+    (Mem.Value.is_null Mem.Value.null && one_class Mem.Value.null);
+  Alcotest.check_raises "null has no address"
+    (Invalid_argument "Value.to_addr: null pointer") (fun () ->
+      ignore (Mem.Value.to_addr Mem.Value.null));
+  Alcotest.check_raises "null is no integer"
+    (Invalid_argument "Value.to_int: pointer") (fun () ->
+      ignore (Mem.Value.to_int Mem.Value.null))
+
+let value_of_int_range () =
+  let outside = Invalid_argument "Value.of_int: integer outside the 62-bit payload" in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises (Printf.sprintf "of_int %d" n) outside (fun () ->
+        ignore (Mem.Value.of_int n)))
+    [ payload_max + 1; payload_min - 1; max_int; min_int ];
+  check_int "max payload kept" payload_max
+    (Mem.Value.to_int (Mem.Value.of_int payload_max));
+  check_int "min payload kept" payload_min
+    (Mem.Value.to_int (Mem.Value.of_int payload_min));
+  Alcotest.check_raises "integer has no address"
+    (Invalid_argument "Value.to_addr: integer") (fun () ->
+      ignore (Mem.Value.to_addr (Mem.Value.of_int 3)))
 
 (* --- Memory --- *)
 
@@ -70,7 +111,7 @@ let memory_basic () =
   let a = Mem.Memory.alloc_block mem ~words:16 in
   check_int "fresh block zeroed" 0
     (Mem.Value.to_int (Mem.Memory.get mem a));
-  Mem.Memory.set mem (Mem.Addr.add a 3) (Mem.Value.Int 99);
+  Mem.Memory.set mem (Mem.Addr.add a 3) (Mem.Value.of_int 99);
   check_int "set/get" 99 (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add a 3)));
   check_int "allocated words" 16 (Mem.Memory.allocated_words mem);
   Mem.Memory.free_block mem a;
@@ -101,34 +142,32 @@ let memory_blit () =
   let a = Mem.Memory.alloc_block mem ~words:8 in
   let b = Mem.Memory.alloc_block mem ~words:8 in
   for i = 0 to 7 do
-    Mem.Memory.set mem (Mem.Addr.add a i) (Mem.Value.Int (i * i))
+    Mem.Memory.set mem (Mem.Addr.add a i) (Mem.Value.of_int (i * i))
   done;
   Mem.Memory.blit mem ~src:a ~dst:b ~words:8;
   check_int "blit copied" 49 (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add b 7)))
 
-(* --- Raw API vs safe API --- *)
+(* --- Cell handles vs safe API --- *)
 
 let memory_cells_handle () =
   let mem = Mem.Memory.create () in
   let a = Mem.Memory.alloc_block mem ~words:8 in
-  Mem.Memory.set mem (Mem.Addr.add a 3) (Mem.Value.Int 12);
+  Mem.Memory.set mem (Mem.Addr.add a 3) (Mem.Value.of_int 12);
   let cells = Mem.Memory.cells mem a in
-  check_int "handle sees safe write" (Mem.Value.encode (Mem.Value.Int 12)) cells.(3);
-  cells.(4) <- Mem.Value.encode (Mem.Value.Int 7);
+  check_int "handle sees safe write" 12 (Mem.Value.to_int cells.(3));
+  cells.(4) <- Mem.Value.of_int 7;
   check_int "safe read sees handle write" 7
     (Mem.Value.to_int (Mem.Memory.get mem (Mem.Addr.add a 4)));
   check_bool "one handle per block" true
     (Mem.Memory.cells mem (Mem.Addr.add a 5) == cells);
-  check_int "get_raw is the encoded cell" cells.(3)
-    (Mem.Memory.get_raw mem (Mem.Addr.add a 3));
   Mem.Memory.free_block mem a;
   (match Mem.Memory.cells mem a with
    | _ -> Alcotest.fail "expected Invalid_argument on freed block"
    | exception Invalid_argument _ -> ())
 
-(* drive one memory through the safe API and a twin through the raw API
-   with the same randomized operations; the heaps must stay identical
-   under both read APIs *)
+(* drive one memory through the safe API and a twin through its block
+   handles with the same randomized operations; the heaps must stay
+   identical under both read APIs *)
 let raw_safe_agreement_prop =
   QCheck.Test.make ~name:"raw API agrees with safe get/set/blit" ~count:200
     QCheck.(pair (int_range 2 64) (int_range 0 1000000))
@@ -142,9 +181,9 @@ let raw_safe_agreement_prop =
       let rand_value () =
         match Support.Prng.int prng 4 with
         | 0 -> Mem.Value.null
-        | 1 | 2 -> Mem.Value.Int (Support.Prng.int prng 1000000 - 500000)
+        | 1 | 2 -> Mem.Value.of_int (Support.Prng.int prng 1000000 - 500000)
         | _ ->
-          Mem.Value.Ptr
+          Mem.Value.of_addr
             (Mem.Addr.make
                ~block:(Support.Prng.int prng 100)
                ~offset:(Support.Prng.int prng 10000))
@@ -152,16 +191,16 @@ let raw_safe_agreement_prop =
       for _ = 1 to 40 do
         match Support.Prng.int prng 3 with
         | 0 ->
-          (* store: safe set vs raw set of the encoded word *)
+          (* store: safe set vs a store through the handle *)
           let off = Support.Prng.int prng words in
           let v = rand_value () in
           Mem.Memory.set mem_s (Mem.Addr.add a_s off) v;
-          Mem.Memory.set_raw mem_r (Mem.Addr.add a_r off) (Mem.Value.encode v)
+          (Mem.Memory.cells mem_r a_r).(off) <- v
         | 1 ->
           let off = Support.Prng.int prng words in
           let v = rand_value () in
           Mem.Memory.set mem_s (Mem.Addr.add b_s off) v;
-          (Mem.Memory.cells mem_r b_r).(off) <- Mem.Value.encode v
+          (Mem.Memory.cells mem_r b_r).(off) <- v
         | _ ->
           (* blit a -> b: safe blit vs Array.blit on the block handles *)
           let len = 1 + Support.Prng.int prng (words - 1) in
@@ -179,10 +218,10 @@ let raw_safe_agreement_prop =
         let ok = ref true in
         for off = 0 to words - 1 do
           let s = Mem.Memory.get mem_s (Mem.Addr.add base_s off) in
-          let r = Mem.Memory.get_raw mem_r (Mem.Addr.add base_r off) in
+          let r = (Mem.Memory.cells mem_r base_r).(off) in
           ok := !ok
-                && Mem.Value.equal s (Mem.Value.decode r)
-                && Mem.Memory.get_raw mem_s (Mem.Addr.add base_s off) = r
+                && Mem.Value.equal s r
+                && Mem.Value.equal (Mem.Memory.get mem_r (Mem.Addr.add base_r off)) r
         done;
         !ok
       in
@@ -455,8 +494,10 @@ let () =
             addr_add_high_block;
           Alcotest.test_case "invalid" `Quick addr_invalid ] );
       ( "value",
-        [ QCheck_alcotest.to_alcotest value_roundtrip_prop;
-          Alcotest.test_case "null roundtrip" `Quick value_null_roundtrip ] );
+        [ QCheck_alcotest.to_alcotest value_int_roundtrip_prop;
+          QCheck_alcotest.to_alcotest value_addr_roundtrip_prop;
+          Alcotest.test_case "null roundtrip" `Quick value_null_roundtrip;
+          Alcotest.test_case "of_int range" `Quick value_of_int_range ] );
       ( "memory",
         [ Alcotest.test_case "basic" `Quick memory_basic;
           Alcotest.test_case "freed access" `Quick memory_freed_access;

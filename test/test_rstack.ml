@@ -15,7 +15,7 @@ let reg_entry ~name ~slots ?(regs = TT.plain_regs ()) table =
   TT.register table { TT.name; slots; regs }
 
 let some_addr = Mem.Addr.make ~block:3 ~offset:0
-let ptr = Mem.Value.Ptr some_addr
+let ptr = Mem.Value.of_addr some_addr
 
 let scan ?(mode = Rstack.Scan.Full) ?(valid = 0) ~stack ~regs ~cache () =
   let roots = ref [] in
@@ -85,7 +85,7 @@ let scan_callee_save () =
   let stack2 = St.create t2 in
   ignore (St.push stack2 ~key:k_caller2);
   let callee2 = St.push stack2 ~key:k_callee2 in
-  Rstack.Frame.set callee2 0 (Mem.Value.Int 7);
+  Rstack.Frame.set callee2 0 (Mem.Value.of_int 7);
   let _, roots2 = scan ~stack:stack2 ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "no roots when caller register dead" 0 (List.length roots2)
 
@@ -98,11 +98,11 @@ let scan_compute () =
   let stack = St.create t in
   let regs = Rstack.Reg_file.create () in
   let frame = St.push stack ~key:k in
-  Rstack.Frame.set frame 0 (Mem.Value.Int T.type_code_boxed);
+  Rstack.Frame.set frame 0 (Mem.Value.of_int T.type_code_boxed);
   Rstack.Frame.set frame 1 ptr;
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "boxed: one root" 1 (List.length roots);
-  Rstack.Frame.set frame 0 (Mem.Value.Int T.type_code_word);
+  Rstack.Frame.set frame 0 (Mem.Value.of_int T.type_code_word);
   let _, roots = scan ~stack ~regs ~cache:(Rstack.Scan_cache.create ()) () in
   check_int "unboxed: no roots" 0 (List.length roots)
 
@@ -246,7 +246,7 @@ let markers_prop =
       let mutate_top () =
         if St.depth stack > 0 then begin
           incr stamp;
-          Rstack.Frame.set (St.top stack) 0 (Mem.Value.Int !stamp)
+          Rstack.Frame.set (St.top stack) 0 (Mem.Value.of_int !stamp)
         end
       in
       let check ok =

@@ -52,7 +52,36 @@ let operand_typing () =
     (* null deref *)
     (match R.obj_length rt ~obj:R.Nil with
      | _ -> Alcotest.fail "null deref"
-     | exception Invalid_argument _ -> ()))
+     | exception Invalid_argument _ -> ());
+    (* the checks below pin each message of the field-access path *)
+    let oob = Invalid_argument "Runtime: field index out of bounds" in
+    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.I (R.Imm 1); R.P R.Nil ];
+    List.iter
+      (fun idx ->
+        Alcotest.check_raises (Printf.sprintf "load index %d" idx) oob (fun () ->
+          R.load_field rt ~obj:(R.Slot 0) ~idx ~dst:(R.To_slot 1));
+        Alcotest.check_raises (Printf.sprintf "store index %d" idx) oob
+          (fun () -> R.store_field rt ~obj:(R.Slot 0) ~idx (R.I (R.Imm 0))))
+      [ -1; 2 ];
+    (* a pointer field read as an integer *)
+    R.alloc_record rt ~site ~dst:(R.To_slot 0) [ R.P (R.Slot 0) ];
+    Alcotest.check_raises "field_int of a pointer field"
+      (Invalid_argument "Value.to_int: pointer") (fun () ->
+        ignore (R.field_int rt ~obj:(R.Slot 0) ~idx:0 : int));
+    (* an integer slot used as an object *)
+    R.set_slot rt 1 (V.of_int 5);
+    Alcotest.check_raises "integer dereference"
+      (Invalid_argument "Runtime: dereferencing an integer") (fun () ->
+        R.load_field rt ~obj:(R.Slot 1) ~idx:0 ~dst:(R.To_slot 1));
+    (* array element typing follows the array kind *)
+    R.alloc_nonptr_array rt ~site ~dst:(R.To_slot 0) ~len:2;
+    Alcotest.check_raises "pointer store into a non-pointer array"
+      (Invalid_argument "Runtime: pointer store into a non-pointer field")
+      (fun () -> R.store_field rt ~obj:(R.Slot 0) ~idx:1 (R.P R.Nil));
+    R.alloc_ptr_array rt ~site ~dst:(R.To_slot 0) ~len:2;
+    Alcotest.check_raises "integer store into a pointer array"
+      (Invalid_argument "Runtime: integer store into a pointer field")
+      (fun () -> R.store_field rt ~obj:(R.Slot 0) ~idx:1 (R.I (R.Imm 3))))
 
 (* --- rooting through collections --- *)
 
@@ -95,7 +124,7 @@ let callee_save_spill_through_gc () =
     R.call rt ~key:k_callee ~args:[] (fun () ->
       (* spill the caller's register, then clobber it *)
       R.set_slot rt 0 (R.get_reg rt 7);
-      R.set_reg rt 7 (V.Int 0);
+      R.set_reg rt 7 (V.of_int 0);
       churn rt site 1 20000;
       (* the spill slot is a root because the *caller* said the register
          held a pointer; the object must have moved and been tracked *)
@@ -110,7 +139,7 @@ let compute_trace_through_gc () =
       ~slots:[| T.Non_ptr; T.Compute (T.Type_in_slot 0); T.Ptr |]
   in
   R.call rt ~key ~args:[] (fun () ->
-    R.set_slot rt 0 (V.Int T.type_code_boxed);
+    R.set_slot rt 0 (V.of_int T.type_code_boxed);
     R.alloc_record rt ~site ~dst:(R.To_slot 1) [ R.I (R.Imm 7) ];
     churn rt site 2 20000;
     check_int "compute-traced slot survived" 7

@@ -74,7 +74,7 @@ let deep_recursion () =
       ~slots:[| Rstack.Trace.Ptr; Rstack.Trace.Ptr |]
   in
   let rec go depth =
-    R.call rt ~key ~args:[ Mem.Value.null; Mem.Value.Int depth ] (fun () ->
+    R.call rt ~key ~args:[ Mem.Value.null; Mem.Value.of_int depth ] (fun () ->
       R.alloc_record rt ~site ~dst:(R.To_slot 0)
         [ R.I (R.Imm depth); R.P (R.Slot 0) ];
       (* garbage so that collections happen while the stack is deep *)
